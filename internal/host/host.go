@@ -117,8 +117,10 @@ type Controller struct {
 	jobs     sim.Ring[ctrlJob] // on the packet engine, FIFO by Reserve order
 	engineFn func()
 	txq      sim.Ring[*packet.Packet] // in the Tx pipeline (constant TxLatency)
+	txLine   *sim.Line
 	txFn     func()
 	rxq      sim.Ring[*packet.Transaction] // in the Rx pipeline (constant RxLatency)
+	rxLine   *sim.Line
 	rxFn     func()
 
 	// blockedq[l] holds requests that found every link full, parked on
@@ -152,6 +154,8 @@ func NewController(eng *sim.Engine, cfg Config, dev Device) *Controller {
 		dev:      dev,
 		ports:    make(map[int]completer),
 		engine:   sim.NewServer(eng),
+		txLine:   eng.NewLine(),
+		rxLine:   eng.NewLine(),
 		slotTime: sim.Time(float64(period)/cfg.CtrlFlitSlotsPerCycle + 0.5),
 	}
 	c.engineFn = c.engineDone
@@ -202,11 +206,11 @@ func (c *Controller) engineDone() {
 		c.dev.ReleaseResp(j.pkt.Link, j.pkt.Flits())
 		packet.PutPacket(j.pkt)
 		c.rxq.Push(tr)
-		c.eng.Schedule(c.cfg.RxLatency, c.rxFn)
+		c.rxLine.After(c.cfg.RxLatency, c.rxFn)
 		return
 	}
 	c.txq.Push(j.pkt)
-	c.eng.Schedule(c.cfg.TxLatency, c.txFn)
+	c.txLine.After(c.cfg.TxLatency, c.txFn)
 }
 
 // txDone fires TxLatency after a request finished the packet engine.

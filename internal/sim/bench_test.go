@@ -31,6 +31,28 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	}
 }
 
+// BenchmarkLineAtFire is BenchmarkEngineScheduleFire on one Line: the
+// pending items wait in the line's ring instead of the heap, so the
+// cost should not grow with their number.
+func BenchmarkLineAtFire(b *testing.B) {
+	for _, pending := range []int{1, 64, 4096} {
+		b.Run(benchName("pending", pending), func(b *testing.B) {
+			eng := NewEngine()
+			l := eng.NewLine()
+			fn := func() {}
+			for i := 0; i < pending; i++ {
+				l.At(Time(i), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.After(Time(pending), fn)
+				eng.Step()
+			}
+		})
+	}
+}
+
 // BenchmarkEngineTimerTick measures a self-rescheduling Timer, the
 // pattern the host ports use for their clock ticks: one heap push and
 // one fire per tick, no closure per wakeup.

@@ -97,6 +97,7 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	nfired uint64
+	lined  int // events waiting behind the heads of lines (see Line)
 
 	// Sharded execution: a grouped engine is one shard of a Group and
 	// delegates Run/Drain to the group's lockstep loop. Ungrouped
@@ -166,8 +167,9 @@ func (e *Engine) ObserveLookahead(d Time) {
 	}
 }
 
-// Pending returns the number of scheduled-but-unfired events.
-func (e *Engine) Pending() int { return len(e.pq) }
+// Pending returns the number of scheduled-but-unfired events, counting
+// those that wait behind the head of a Line as well as those in the heap.
+func (e *Engine) Pending() int { return len(e.pq) + e.lined }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
 //

@@ -3,9 +3,11 @@ package sim
 // Server models a resource that serves one item at a time for a fixed or
 // per-item duration: a bus, a port, a DRAM data path. Work is serialized:
 // a reservation made while the server is busy begins when the previous one
-// ends.
+// ends. Completions therefore never go back in time, and they run on the
+// server's own Line.
 type Server struct {
 	eng  *Engine
+	line Line
 	free Time // earliest time the next reservation may start
 
 	busyArea float64 // integral of busy time, for utilization
@@ -13,10 +15,17 @@ type Server struct {
 }
 
 // NewServer returns a Server bound to eng, idle at time zero.
-func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
+func NewServer(eng *Engine) *Server {
+	s := &Server{eng: eng}
+	s.line.init(eng)
+	return s
+}
 
 // Reserve books the server for dur starting no earlier than now, returns
 // the completion time, and schedules done (if non-nil) at that time.
+// Completions fire in Reserve order.
+//
+//hmcsim:hotpath
 func (s *Server) Reserve(dur Time, done func()) Time {
 	start := s.eng.Now()
 	if s.free > start {
@@ -27,7 +36,7 @@ func (s *Server) Reserve(dur Time, done func()) Time {
 	s.busyArea += float64(dur)
 	s.served++
 	if done != nil {
-		s.eng.At(end, done)
+		s.line.At(end, done)
 	}
 	return end
 }

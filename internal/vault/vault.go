@@ -109,6 +109,7 @@ type Vault struct {
 	tsvQ         sim.Ring[*packet.Transaction]
 	ctrlFn       func()
 	ctrlQ        sim.Ring[*packet.Transaction]
+	ctrlLine     *sim.Line
 	pumpFn       func()
 
 	reads, writes uint64
@@ -140,6 +141,7 @@ func New(eng *sim.Engine, cfg Config, resp RespOutlet) *Vault {
 		queues:    make([]*sim.Queue[*packet.Transaction], cfg.Banks),
 		bankBusy:  make([]bool, cfg.Banks),
 		tsv:       sim.NewServer(eng),
+		ctrlLine:  eng.NewLine(),
 		tsvTokens: sim.NewTokenPool(cfg.TSVWindow),
 		out:       sim.NewQueue[*packet.Transaction](0),
 		trace:     cfg.Trace,
@@ -293,7 +295,7 @@ func (v *Vault) tsvDone() {
 	tr := v.tsvQ.Pop()
 	v.tsvTokens.Release(1)
 	v.ctrlQ.Push(tr)
-	v.eng.Schedule(v.cfg.CtrlLatency, v.ctrlFn)
+	v.ctrlLine.After(v.cfg.CtrlLatency, v.ctrlFn)
 }
 
 // ctrlDone fires CtrlLatency after a transaction crossed the TSV; the
