@@ -123,12 +123,13 @@ type Controller struct {
 	rxLine   *sim.Line
 	rxFn     func()
 
-	// blockedq[l] holds requests that found every link full, parked on
-	// link l's token pool (the first link their attempt round-robin
-	// tried). Each park pairs one ring push with one waiter registration
-	// on the same pool, and both fire in FIFO order, so retryFns[l]
-	// always pops the packet whose registration woke it.
+	// blockedq[l] holds, in park order, the requests that found every
+	// link full and wait on link l's token pool (the first link their
+	// attempt round-robin tried). parked[l] counts those parked since
+	// link l's last wake-up; the park that takes it from 0 registers
+	// retryFns[l], the link's one waiter, on the pool.
 	blockedq []sim.Ring[*packet.Packet]
+	parked   []int
 	retryFns []func()
 
 	reqsSent  uint64
@@ -162,10 +163,11 @@ func NewController(eng *sim.Engine, cfg Config, dev Device) *Controller {
 	c.txFn = c.txDone
 	c.rxFn = c.rxDone
 	c.blockedq = make([]sim.Ring[*packet.Packet], dev.Links())
+	c.parked = make([]int, dev.Links())
 	c.retryFns = make([]func(), dev.Links())
 	for l := range c.retryFns {
 		l := l
-		c.retryFns[l] = func() { c.sendReq(c.blockedq[l].Pop()) }
+		c.retryFns[l] = func() { c.retry(l) }
 	}
 	return c
 }
@@ -228,11 +230,12 @@ func (c *Controller) rxDone() {
 }
 
 // sendReq pushes the packet onto a link, round-robining across links and
-// waiting for link tokens when the cube exerts back-pressure.
+// parking it for link tokens when the cube exerts back-pressure.
+//
+//hmcsim:hotpath
 func (c *Controller) sendReq(pkt *packet.Packet) {
-	links := c.dev.Links()
-	first := c.rr
-	c.rr = (c.rr + 1) % links
+	links := len(c.blockedq)
+	first := c.next()
 	for i := 0; i < links; i++ {
 		l := (first + i) % links
 		pkt.Link = l
@@ -242,8 +245,69 @@ func (c *Controller) sendReq(pkt *packet.Packet) {
 			return
 		}
 	}
-	c.blockedq[first].Push(pkt)
-	c.dev.ReqDir(first).NotifyTokens(c.retryFns[first])
+	c.park(first, pkt)
+}
+
+// next advances the round-robin and returns the link a send attempt
+// tries first.
+//
+//hmcsim:hotpath
+func (c *Controller) next() int {
+	first := c.rr
+	if c.rr++; c.rr == len(c.blockedq) {
+		c.rr = 0
+	}
+	return first
+}
+
+// park queues pkt behind link l's blocked requests. Only the first park
+// since l's last wake-up registers a waiter, so a token release runs one
+// callback per link however many requests wait.
+//
+//hmcsim:hotpath
+func (c *Controller) park(l int, pkt *packet.Packet) {
+	c.blockedq[l].Push(pkt)
+	c.parked[l]++
+	if c.parked[l] == 1 {
+		c.dev.ReqDir(l).NotifyTokens(c.retryFns[l])
+	}
+}
+
+// retry is link l's token waiter. It gives each request parked since the
+// last wake-up, from the ring head in park order, one send attempt, just
+// as one waiter per parked request would, so every request leaves at the
+// same time, on the same link and in the same order. Requests it
+// re-parks on l queue behind those and wait for the next release. The
+// count, unlike the ring's length, stays exact if a release ever
+// re-enters a wake-up.
+//
+// Once no link has a free token, no request can leave before the next
+// event, so the rest are dealt round-robin from rr, where their attempts
+// would park them, without reading their packets.
+//
+//hmcsim:hotpath
+func (c *Controller) retry(l int) {
+	n := c.parked[l]
+	c.parked[l] = 0
+	q := &c.blockedq[l]
+	for ; n > 0 && c.tokensFree(); n-- {
+		c.sendReq(q.Pop())
+	}
+	for ; n > 0; n-- {
+		c.park(c.next(), q.Pop())
+	}
+}
+
+// tokensFree reports whether any request link has a free token.
+//
+//hmcsim:hotpath
+func (c *Controller) tokensFree() bool {
+	for l := range c.blockedq {
+		if c.dev.ReqDir(l).TokensAvailable() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // OnResponse is wired as the cube's response delivery callback.
