@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"hmcsim"
 	"hmcsim/internal/core"
 	"hmcsim/internal/dram"
 	"hmcsim/internal/exp"
@@ -50,16 +49,11 @@ func BenchmarkExperiments(b *testing.B) {
 //
 //	HMCSIM_BENCH_RECORD=1 go test -run TestBenchSweep .
 //
-// Each entry records the engine shard count it ran with: the registry
-// pass uses the serial reference engine (shards 0), and the heavyweight
-// figures are re-timed on the 4-shard lockstep engine so intra-run
-// speedup has a tracked trajectory too. One sample per experiment backs
-// no performance claim; bench/README.md describes the benchmark that
-// does.
+// One sample per experiment backs no performance claim; bench/README.md
+// describes the benchmark that does.
 func TestBenchSweep(t *testing.T) {
 	type entry struct {
 		Name   string  `json:"name"`
-		Shards int     `json:"shards"`
 		Millis float64 `json:"millis"`
 	}
 	// Record the effective fan-out: timings scale with the cores the
@@ -70,9 +64,9 @@ func TestBenchSweep(t *testing.T) {
 		Workers int     `json:"workers"`
 		Entries []entry `json:"entries"`
 	}{Quick: true, Workers: runtime.NumCPU()}
-	timed := func(r hmcsim.Runner, o exp.Options) {
+	for _, r := range exp.Runners() {
 		start := time.Now()
-		res, err := r.Run(ctx, o)
+		res, err := r.Run(ctx, quick)
 		if err != nil {
 			t.Fatalf("runner %q: %v", r.Name(), err)
 		}
@@ -81,19 +75,8 @@ func TestBenchSweep(t *testing.T) {
 		}
 		sweep.Entries = append(sweep.Entries, entry{
 			Name:   r.Name(),
-			Shards: o.Shards,
 			Millis: float64(time.Since(start).Microseconds()) / 1000,
 		})
-	}
-	for _, r := range exp.Runners() {
-		timed(r, quick)
-	}
-	for _, name := range []string{"fig6", "fig13"} {
-		r, err := exp.Runner(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		timed(r, exp.Options{Quick: true, Shards: 4})
 	}
 	if os.Getenv("HMCSIM_BENCH_RECORD") == "" {
 		return
@@ -104,34 +87,6 @@ func TestBenchSweep(t *testing.T) {
 	}
 	if err := os.WriteFile("BENCH_sweep.json", append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShardSpeedupSmoke is the perf acceptance gate for the sharded
-// engine: on a machine with cores to spare, running fig13 on a 4-shard
-// lockstep engine must beat the serial reference engine by a clear
-// margin (at least 10%, far below the expected ~2x, so scheduler noise
-// cannot flake it). Skipped below 4 cores, where the shards would just
-// time-slice one CPU.
-func TestShardSpeedupSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup smoke runs fig13 twice; skipped with -short")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >=4 CPUs for a meaningful shard speedup, have %d", runtime.NumCPU())
-	}
-	wall := func(shards int) time.Duration {
-		start := time.Now()
-		if _, err := exp.Run(ctx, "fig13", exp.Options{Quick: true, Workers: 1, Shards: shards}); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	serial := wall(1)
-	sharded := wall(4)
-	t.Logf("fig13 quick: shards=1 %v, shards=4 %v (%.2fx)", serial, sharded, float64(serial)/float64(sharded))
-	if float64(sharded) >= 0.9*float64(serial) {
-		t.Errorf("4-shard fig13 took %v, want < 90%% of serial %v", sharded, serial)
 	}
 }
 

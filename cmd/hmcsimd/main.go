@@ -71,7 +71,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations; 0 = NumCPU")
-	shards := flag.Int("shards", 0, "parallel engine shards per simulation; 0 = serial reference engine (results are identical either way)")
 	queue := flag.Int("queue", 64, "queued-job bound; submissions beyond it get 503")
 	cache := flag.Int("cache", 256, "result-cache entries (LRU)")
 	maxJobs := flag.Int("maxjobs", 1024, "retained job records; oldest terminal records beyond this are dropped")
@@ -95,7 +94,6 @@ func main() {
 
 	svc := service.New(service.Config{
 		Workers:       *workers,
-		Shards:        *shards,
 		QueueDepth:    *queue,
 		CacheEntries:  *cache,
 		MaxJobs:       *maxJobs,

@@ -39,7 +39,6 @@ package hmcsim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/host"
@@ -97,26 +96,6 @@ type Options struct {
 	// sequential execution. Excluded from JSON because it must never
 	// change results, only wall-clock time.
 	Workers int `json:"-"`
-	// Shards runs each simulation on a vault-partitioned lockstep
-	// engine group of this many shards instead of the serial reference
-	// engine (0, the default). Results are byte-identical at every
-	// shard count; like Workers it trades only wall-clock time, so it
-	// is omitted from JSON and never perturbs cached spec keys.
-	Shards int `json:"-"`
-}
-
-// SweepWorkers resolves the sweep fan-out the experiment runners pass
-// to Sweep: Workers when the caller set it, otherwise the machine's
-// core count divided by the per-run shard count, so a sharded sweep
-// does not oversubscribe the machine with shards*jobs goroutines.
-func (o Options) SweepWorkers() int {
-	if o.Workers != 0 || o.Shards <= 1 {
-		return o.Workers // Sweep turns 0 into runtime.NumCPU()
-	}
-	if w := runtime.NumCPU() / o.Shards; w > 1 {
-		return w
-	}
-	return 1
 }
 
 // Validate rejects option values that cannot run: currently a traffic
@@ -130,14 +109,12 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// NewSystem builds a default system with the option seed and engine
-// sharding applied.
+// NewSystem builds a default system with the option seed applied.
 func (o Options) NewSystem() *System {
 	cfg := DefaultConfig()
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	cfg.Shards = o.Shards
 	return NewSystem(cfg)
 }
 
@@ -161,10 +138,6 @@ const checkpointEvery = sim.DefaultCheckpointEvery
 //   - If ctx carries a WithTimeline collector, those tracers also
 //     record per-component activity over simulated time, for Chrome
 //     trace_event export.
-//   - If ctx carries a WithShardStats collector (or a timeline) and the
-//     options shard the engine, the group gets a lockstep observatory:
-//     barrier-wait, window and mailbox telemetry, merged by the
-//     collector and exported as barrier-stall slices on the timeline.
 //
 // A background context with no sink and no collector yields a system
 // identical to NewSystem, with zero checkpoint overhead.
@@ -173,10 +146,8 @@ func (o Options) NewSystemCtx(ctx context.Context) *System {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	cfg.Shards = o.Shards
 	tc := collectorFrom(ctx)
 	tlc := timelineFrom(ctx)
-	ssc := shardStatsFrom(ctx)
 	switch {
 	case tlc != nil:
 		// One SystemTracer can serve both collectors; the timeline
@@ -190,15 +161,7 @@ func (o Options) NewSystemCtx(ctx context.Context) *System {
 	case tc != nil:
 		cfg.Trace = tc.col.NewSystem()
 	}
-	if o.Shards >= 1 && (ssc != nil || tlc != nil) {
-		cfg.GroupTrace = &sim.GroupTracer{}
-	}
 	sys := NewSystem(cfg)
-	if cfg.GroupTrace != nil && ssc != nil {
-		if g := sys.Eng.Group(); g != nil {
-			ssc.register(g, cfg.GroupTrace)
-		}
-	}
 	attachCheckpoint(ctx, sys.Eng)
 	return sys
 }

@@ -3,9 +3,9 @@
 // of the repository only enforces at runtime.
 //
 //   - determinism: kernel packages must not read wall clocks, use the
-//     process-global math/rand generator, spawn goroutines or select
-//     outside the sim.Group lockstep machinery, or let map iteration
-//     order leak into event schedules or ordered output. The runtime
+//     process-global math/rand generator, spawn goroutines, select, or
+//     let map iteration order leak into event schedules or ordered
+//     output. The runtime
 //     counterpart is the byte-identity A/B guard (PR 8); this analyzer
 //     catches the drift before it costs a golden-regeneration hunt.
 //   - nilhook: every exported method on a pointer-receiver tracer type

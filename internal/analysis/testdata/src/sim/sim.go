@@ -41,7 +41,7 @@ func spawn() {
 }
 
 func spawnWaived() {
-	go wallClock() //hmcsim:nondet-ok lockstep worker, joined at the window barrier
+	go wallClock() //hmcsim:nondet-ok fixture: a reasoned waiver silences the finding
 }
 
 func choose(a, b chan int) {

@@ -2,14 +2,9 @@ package exp
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-
-	"hmcsim"
 )
 
 // TestABGuard is the kernel-rewrite safety net: every registered
@@ -52,89 +47,5 @@ func TestABGuard(t *testing.T) {
 				t.Errorf("%s: Result JSON differs from the pre-optimization golden snapshot (%d vs %d bytes); the kernel change altered simulation behavior", name, len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestShardedABGuard is the determinism contract of the sharded engine:
-// a vault-partitioned lockstep run must produce Result JSON
-// byte-identical to the serial reference engine's golden snapshot, at
-// every shard count and regardless of how much real parallelism the
-// scheduler grants. GOMAXPROCS=1 forces maximal goroutine interleaving
-// jitter (every barrier wakeup is a cooperative reschedule), while
-// NumCPU exercises true concurrency; both must converge on the same
-// bytes or the safety window / mailbox ordering is broken.
-func TestShardedABGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded A/B guard runs full quick experiments; skipped with -short")
-	}
-	cases := []struct {
-		name   string
-		shards int
-		procs  int
-	}{
-		{"fig6", 1, 1},
-		{"fig6", 2, 1},
-		{"fig6", 4, 1},
-		{"fig6", 2, runtime.NumCPU()},
-		{"fig6", 4, runtime.NumCPU()},
-		{"traffic-zipf", 1, 1},
-		{"traffic-zipf", 2, 1},
-		{"traffic-zipf", 4, 1},
-		{"traffic-zipf", 2, runtime.NumCPU()},
-		{"traffic-zipf", 4, runtime.NumCPU()},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%s/shards=%d/procs=%d", tc.name, tc.shards, tc.procs), func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", "ab", tc.name+".json"))
-			if err != nil {
-				t.Fatalf("missing golden snapshot (run with HMCSIM_AB_UPDATE=1 to create): %v", err)
-			}
-			prev := runtime.GOMAXPROCS(tc.procs)
-			defer runtime.GOMAXPROCS(prev)
-			got := runJSON(t, tc.name, Options{Quick: true, Workers: 1, Shards: tc.shards})
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s at %d shards (GOMAXPROCS=%d): Result JSON differs from the serial golden (%d vs %d bytes); the lockstep window or mailbox ordering leaked scheduling nondeterminism into results",
-					tc.name, tc.shards, tc.procs, len(got), len(want))
-			}
-		})
-	}
-}
-
-// TestTracedShardedABGuard is the observe-only contract of the lockstep
-// observatory at the result level: a sharded run with every collector
-// attached — trace summaries, timelines (which route barrier-stall
-// slices and per-shard counters), and the shard-stats observatory —
-// must still produce Result JSON byte-identical to the untraced serial
-// golden. Telemetry that perturbed event ordering, or leaked into the
-// Result, would diff here.
-func TestTracedShardedABGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("traced sharded A/B guard runs full quick experiments; skipped with -short")
-	}
-	for _, name := range []string{"fig6", "traffic-zipf"} {
-		for _, shards := range []int{1, 2, 4} {
-			name, shards := name, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				want, err := os.ReadFile(filepath.Join("testdata", "ab", name+".json"))
-				if err != nil {
-					t.Fatalf("missing golden snapshot (run with HMCSIM_AB_UPDATE=1 to create): %v", err)
-				}
-				ctx, _ := hmcsim.WithTrace(context.Background())
-				ctx, _ = hmcsim.WithTimeline(ctx)
-				ctx, ssc := hmcsim.WithShardStats(ctx)
-				got := runJSONCtx(t, ctx, name, Options{Quick: true, Workers: 1, Shards: shards})
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s at %d shards with observatory attached: Result JSON differs from the untraced serial golden (%d vs %d bytes); telemetry must observe, never perturb",
-						name, shards, len(got), len(want))
-				}
-				if ssc.Systems() == 0 {
-					t.Error("shard-stats collector saw no systems; the observatory was not wired")
-				}
-				if gs := ssc.Stats(); gs.Windows == 0 {
-					t.Error("observatory recorded no window opens over a full experiment")
-				}
-			})
-		}
 	}
 }

@@ -39,7 +39,7 @@ type DDRComparisonResult struct {
 // workloads — a plain sweep over the hmcsim.Backend list.
 func DDRComparison(ctx context.Context, o Options) DDRComparisonResult {
 	backends := hmcsim.ComparisonBackends()
-	rows := hmcsim.Sweep(ctx, o.SweepWorkers(), len(backends), func(i int) BackendPoint {
+	rows := hmcsim.Sweep(ctx, o.Workers, len(backends), func(i int) BackendPoint {
 		b := backends[i]
 		return BackendPoint{
 			Backend:    b.Name(),

@@ -9,14 +9,7 @@ import (
 // runJSON executes one registered experiment and returns its JSON bytes.
 func runJSON(t *testing.T, name string, o Options) []byte {
 	t.Helper()
-	return runJSONCtx(t, context.Background(), name, o)
-}
-
-// runJSONCtx is runJSON over a caller-supplied context, for guards that
-// attach observability collectors to the run.
-func runJSONCtx(t *testing.T, ctx context.Context, name string, o Options) []byte {
-	t.Helper()
-	res, err := Run(ctx, name, o)
+	res, err := Run(context.Background(), name, o)
 	if err != nil {
 		t.Fatal(err)
 	}

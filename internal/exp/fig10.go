@@ -56,7 +56,7 @@ func Fig10(ctx context.Context, o Options) VaultComboResult {
 		perVault [][]float64
 		combos   int
 	}
-	perSize := hmcsim.Sweep(ctx, o.SweepWorkers(), len(Sizes), func(si int) sizeRun {
+	perSize := hmcsim.Sweep(ctx, o.Workers, len(Sizes), func(si int) sizeRun {
 		size := Sizes[si]
 		run := sizeRun{perVault: make([][]float64, addr.Vaults)}
 		sys := o.NewSystemCtx(ctx)

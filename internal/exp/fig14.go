@@ -33,7 +33,7 @@ type Fig14Result struct {
 // outstanding requests, and observe the roughly linear growth with bank
 // count that implies a queue per bank in the vault controller.
 func Fig14(ctx context.Context, o Options) Fig14Result {
-	points := hmcsim.Sweep2(ctx, o.SweepWorkers(), []int{2, 4}, Sizes, func(banks, size int) Fig14Point {
+	points := hmcsim.Sweep2(ctx, o.Workers, []int{2, 4}, Sizes, func(banks, size int) Fig14Point {
 		sys := o.NewSystemCtx(ctx)
 		pat := sys.Banks(banks)
 		r := sys.RunGUPS(core.GUPSSpec{

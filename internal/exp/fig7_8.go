@@ -62,7 +62,7 @@ func lowLoad(ctx context.Context, o Options, figure string, ns []int) LowLoadRes
 	// One system per size; bursts replay back-to-back on one port, each
 	// fully draining before the next starts, as the multi-port stream
 	// software does. Sizes are independent systems, so they fan out.
-	perSize := hmcsim.Sweep(ctx, o.SweepWorkers(), len(Sizes), func(si int) []LowLoadPoint {
+	perSize := hmcsim.Sweep(ctx, o.Workers, len(Sizes), func(si int) []LowLoadPoint {
 		size := Sizes[si]
 		sys := o.NewSystemCtx(ctx)
 		points := make([]LowLoadPoint, 0, len(ns))

@@ -69,35 +69,19 @@ type HMC struct {
 	respsOut uint64
 }
 
-// New builds the cube across the given engines: links and the host-
-// facing glue on engs.Hub, each quadrant's routers and vaults on
-// engs.Quad[q] (all the same engine in a serial build). deliverResp
-// receives response packets on the host side of the links; the host
-// must call ReleaseResp when it drains each packet from the link's
-// receive buffer.
-func New(engs noc.Engines, cfg Config, deliverResp func(*packet.Packet)) *HMC {
+// New builds the cube on eng. deliverResp receives response packets on
+// the host side of the links; the host must call ReleaseResp when it
+// drains each packet from the link's receive buffer.
+func New(eng *sim.Engine, cfg Config, deliverResp func(*packet.Packet)) *HMC {
 	if cfg.Links != len(cfg.LinkHome) {
 		panic(fmt.Sprintf("hmc: %d links but %d homes", cfg.Links, len(cfg.LinkHome)))
 	}
-	eng := engs.Hub
 	h := &HMC{
 		eng:         eng,
 		cfg:         cfg,
 		links:       make([]*link.Link, cfg.Links),
 		vaults:      make([]*vault.Vault, addr.Vaults),
 		deliverResp: deliverResp,
-	}
-
-	// Tracer plumbing for quadrants on non-hub engines: each such shard
-	// gets its own clock (and, with a timeline enabled, its own
-	// timeline), so tracer state is never shared across engines.
-	if cfg.Trace != nil {
-		for q := 0; q < addr.Quadrants; q++ {
-			if qe := engs.Quad[q]; qe != eng {
-				qe := qe
-				cfg.Trace.ShardClock(qe.Shard(), func() int64 { return int64(qe.Now()) })
-			}
-		}
 	}
 
 	// Links: the request direction's receive buffer is the cube's input
@@ -130,17 +114,12 @@ func New(engs noc.Engines, cfg Config, deliverResp func(*packet.Packet)) *HMC {
 	for v := 0; v < addr.Vaults; v++ {
 		v := v
 		quad := v / addr.VaultsPerQuad
-		qe := engs.Quad[quad]
 		vcfg := cfg.Vault
 		vcfg.ID = v
 		if cfg.Trace != nil {
-			if qe != eng {
-				vcfg.Trace = cfg.Trace.ShardVault(v, qe.Shard())
-			} else {
-				vcfg.Trace = cfg.Trace.Vault(v)
-			}
+			vcfg.Trace = cfg.Trace.Vault(v)
 		}
-		vlt := vault.New(qe, vcfg, &respAdapter{h: h, quad: quad})
+		vlt := vault.New(eng, vcfg, &respAdapter{h: h, quad: quad})
 		h.vaults[v] = vlt
 		vaultOutlets[v] = noc.FuncOutlet{
 			Try: func(m *noc.Message) bool {
@@ -177,16 +156,8 @@ func New(engs noc.Engines, cfg Config, deliverResp func(*packet.Packet)) *HMC {
 	nocCfg := cfg.NoC
 	if cfg.Trace != nil {
 		nocCfg.Trace = &cfg.Trace.NoC
-		for q := 0; q < addr.Quadrants; q++ {
-			if qe := engs.Quad[q]; qe != eng {
-				if nocCfg.QuadTrace == nil {
-					nocCfg.QuadTrace = make([]*obs.NoCTracer, addr.Quadrants)
-				}
-				nocCfg.QuadTrace[q] = cfg.Trace.ShardNoC(qe.Shard())
-			}
-		}
 	}
-	h.fabric = noc.NewFabric(engs, nocCfg, addr.Quadrants, addr.VaultsPerQuad,
+	h.fabric = noc.NewFabric(eng, nocCfg, addr.Quadrants, addr.VaultsPerQuad,
 		cfg.LinkHome, cfg.ReqRxBufFlits, vaultOutlets, linkEgress)
 
 	// Returning cube-side link tokens once a request leaves the ingress

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hmcsim/internal/addr"
-	"hmcsim/internal/noc"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
 )
@@ -19,7 +18,7 @@ type harness struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	ha := &harness{eng: sim.NewEngine()}
-	ha.h = New(noc.SingleEngine(ha.eng, addr.Quadrants), cfg, func(p *packet.Packet) {
+	ha.h = New(ha.eng, cfg, func(p *packet.Packet) {
 		// Consume immediately: release buffer space and record.
 		ha.h.ReleaseResp(p.Link, p.Flits())
 		p.Tr.TDone = ha.eng.Now()

@@ -20,33 +20,12 @@ func (f FuncOutlet) TryOut(m *Message) bool { return f.Try(m) }
 // NotifyOut implements Outlet.
 func (f FuncOutlet) NotifyOut(m *Message, fn func()) { f.Notify(m, fn) }
 
-// Engines names the engine each part of the fabric runs on. In the
-// serial build every entry is the same engine; a sharded build assigns
-// quadrants to a sim.Group's shards (Hub carries the links and host).
-// Quadrant q's routers, its bridge-channel source sides and its vaults
-// all live on Quad[q].
-type Engines struct {
-	Hub  *sim.Engine
-	Quad []*sim.Engine
-}
-
-// SingleEngine places the whole fabric on one engine: the serial
-// reference layout.
-func SingleEngine(e *sim.Engine, nQuads int) Engines {
-	engs := Engines{Hub: e, Quad: make([]*sim.Engine, nQuads)}
-	for q := range engs.Quad {
-		engs.Quad[q] = e
-	}
-	return engs
-}
-
 // Fabric is the assembled logic-layer network: a request network carrying
 // host-to-vault traffic and a response network carrying vault-to-host
 // traffic, each built from one router per quadrant plus an ingress
 // channel per external link. Every edge that connects different
 // quadrants — ingress into a home router, the quadrant full mesh, and
-// router to link egress — is a bridge Chan in every build, so the
-// sharded and serial engines execute the identical event sequence.
+// router to link egress — is a bridge Chan.
 type Fabric struct {
 	cfg           Config
 	nQuads        int
@@ -70,7 +49,7 @@ type Fabric struct {
 //   - vaultOutlets[v] consumes requests for vault v (length nQuads *
 //     vaultsPerQuad).
 //   - linkEgress[l] consumes responses leaving on link l.
-func NewFabric(engs Engines, cfg Config, nQuads, vaultsPerQuad int,
+func NewFabric(eng *sim.Engine, cfg Config, nQuads, vaultsPerQuad int,
 	linkHome []int, ingressBound int, vaultOutlets []Outlet, linkEgress []Outlet) *Fabric {
 
 	nVaults := nQuads * vaultsPerQuad
@@ -85,9 +64,6 @@ func NewFabric(engs Engines, cfg Config, nQuads, vaultsPerQuad int,
 			panic(fmt.Sprintf("noc: link home quadrant %d out of range", h))
 		}
 	}
-	if len(engs.Quad) != nQuads || engs.Hub == nil {
-		panic(fmt.Sprintf("noc: engines for %d quadrants, want %d plus a hub", len(engs.Quad), nQuads))
-	}
 	nLinks := len(linkHome)
 	f := &Fabric{
 		cfg:           cfg,
@@ -99,17 +75,6 @@ func NewFabric(engs Engines, cfg Config, nQuads, vaultsPerQuad int,
 		RespRouters:   make([]*Router, nQuads),
 	}
 
-	// quadCfg gives quadrant q's routers their own tracer when the build
-	// provides per-quadrant ones (sharded engines must not share tracer
-	// counters).
-	quadCfg := func(q int) Config {
-		c := cfg
-		if q < len(cfg.QuadTrace) && cfg.QuadTrace[q] != nil {
-			c.Trace = cfg.QuadTrace[q]
-		}
-		return c
-	}
-
 	// Request network. Router q's outlets: [0, vaultsPerQuad) local
 	// vaults, then one slot per quadrant for the full-mesh peer bridges
 	// (the self slot stays empty and is never routed to).
@@ -119,7 +84,7 @@ func NewFabric(engs Engines, cfg Config, nQuads, vaultsPerQuad int,
 		for i := 0; i < vaultsPerQuad; i++ {
 			outlets[i] = vaultOutlets[q*vaultsPerQuad+i]
 		}
-		f.ReqRouters[q] = NewRouter(engs.Quad[q], fmt.Sprintf("req.q%d", q), quadCfg(q),
+		f.ReqRouters[q] = NewRouter(eng, fmt.Sprintf("req.q%d", q), cfg,
 			func(m *Message) int {
 				if m.Tr.Quadrant == q {
 					return m.Tr.Vault % vaultsPerQuad
@@ -130,36 +95,34 @@ func NewFabric(engs Engines, cfg Config, nQuads, vaultsPerQuad int,
 	for q := 0; q < nQuads; q++ {
 		for p := 0; p < nQuads; p++ {
 			if p != q {
-				ch := NewChan(
-					engs.Quad[q], engs.Quad[p], fmt.Sprintf("req.q%d-q%d", q, p),
+				ch := NewChan(eng, fmt.Sprintf("req.q%d-q%d", q, p),
 					cfg, cfg.InputBuffer, 0, f.ReqRouters[p])
-				// Stall attribution goes to the source quadrant's tracer:
-				// TryOut runs on the source engine, and hops stay counted
-				// by the owning router (Stall, not Trace, avoids doubling).
-				ch.Stall = quadCfg(q).Trace
+				// Hops stay counted by the owning router (Stall, not
+				// Trace, avoids doubling).
+				ch.Stall = cfg.Trace
 				f.ReqRouters[q].SetChan(vaultsPerQuad+p, ch)
 			}
 		}
 	}
 
-	// Link ingress channels: requests deserialize on the hub (link side)
-	// and bridge into the home quadrant's router. Occupancy is bounded
+	// Link ingress channels: requests deserialize on the link side and
+	// bridge into the home quadrant's router. Occupancy is bounded
 	// by the link-level token pool, not by channel credits (callers use
 	// Inject and wire OnForward to return tokens).
 	for l := 0; l < nLinks; l++ {
 		home := linkHome[l]
-		f.ReqIngress[l] = NewChan(engs.Hub, engs.Quad[home],
-			fmt.Sprintf("req.in%d", l), cfg, 0, ingressBound, f.ReqRouters[home])
+		f.ReqIngress[l] = NewChan(eng, fmt.Sprintf("req.in%d", l),
+			cfg, 0, ingressBound, f.ReqRouters[home])
 		f.ReqIngress[l].Trace = cfg.Trace
 	}
 
 	// Response network. Router q's outlets: [0, nLinks) egress bridges
-	// back to the hub (only wired for links homed at q), then one slot
-	// per quadrant for peer bridges.
+	// to the links (only wired for links homed at q), then one slot per
+	// quadrant for peer bridges.
 	for q := 0; q < nQuads; q++ {
 		q := q
 		outlets := make([]Outlet, nLinks+nQuads)
-		f.RespRouters[q] = NewRouter(engs.Quad[q], fmt.Sprintf("resp.q%d", q), quadCfg(q),
+		f.RespRouters[q] = NewRouter(eng, fmt.Sprintf("resp.q%d", q), cfg,
 			func(m *Message) int {
 				home := f.linkHome[m.Tr.Link]
 				if home == q {
@@ -171,19 +134,17 @@ func NewFabric(engs Engines, cfg Config, nQuads, vaultsPerQuad int,
 	for q := 0; q < nQuads; q++ {
 		for l := 0; l < nLinks; l++ {
 			if linkHome[l] == q {
-				ch := NewChan(
-					engs.Quad[q], engs.Hub, fmt.Sprintf("resp.q%d-out%d", q, l),
+				ch := NewChan(eng, fmt.Sprintf("resp.q%d-out%d", q, l),
 					cfg, cfg.InputBuffer, 0, linkEgress[l])
-				ch.Stall = quadCfg(q).Trace
+				ch.Stall = cfg.Trace
 				f.RespRouters[q].SetChan(l, ch)
 			}
 		}
 		for p := 0; p < nQuads; p++ {
 			if p != q {
-				ch := NewChan(
-					engs.Quad[q], engs.Quad[p], fmt.Sprintf("resp.q%d-q%d", q, p),
+				ch := NewChan(eng, fmt.Sprintf("resp.q%d-q%d", q, p),
 					cfg, cfg.InputBuffer, 0, f.RespRouters[p])
-				ch.Stall = quadCfg(q).Trace
+				ch.Stall = cfg.Trace
 				f.RespRouters[q].SetChan(nLinks+p, ch)
 			}
 		}
@@ -204,8 +165,7 @@ func (f *Fabric) InjectRequest(l int, m *Message) {
 func (f *Fabric) RespIngress(q int) Outlet { return f.RespRouters[q] }
 
 // QueuedMessages returns the total occupancy of every router and ingress
-// channel, a debugging aid for conservation checks. Call it only when
-// the fabric is quiescent (between runs); it reads every shard's state.
+// channel, a debugging aid for conservation checks.
 func (f *Fabric) QueuedMessages() int {
 	n := 0
 	for _, c := range f.ReqIngress {

@@ -88,17 +88,10 @@ type Config struct {
 	InputBuffer int
 
 	// Trace, when non-nil, observes message hops and router occupancy.
-	// One tracer is shared by every router built from this config; a
-	// router's hooks run only on its own engine goroutine, so the shared
-	// counters need no locks as long as all routers share one engine.
-	// Nil keeps the admission hook a single branch.
+	// One tracer is shared by every router built from this config; the
+	// routers share one single-threaded engine, so the shared counters
+	// need no locks. Nil keeps the admission hook a single branch.
 	Trace *obs.NoCTracer
-
-	// QuadTrace, when non-empty, gives each quadrant's routers their own
-	// tracer (indexed by quadrant). Sharded builds use it so routers on
-	// different engines never share counters; entries may be nil to fall
-	// back to Trace.
-	QuadTrace []*obs.NoCTracer
 }
 
 // DefaultConfig returns the fabric parameters used by the reproduction.
@@ -133,7 +126,7 @@ type Router struct {
 type outState struct {
 	// ch, when non-nil, replaces this slot's whole output pipeline with
 	// a bridge channel (see Chan): the fabric uses bridges for every
-	// edge that may cross engines in a sharded build.
+	// edge between quadrants.
 	ch *Chan
 
 	outlet  Outlet

@@ -130,7 +130,7 @@ func TestChanExternallyBoundedIngress(t *testing.T) {
 	eng := sim.NewEngine()
 	s := &sinkOutlet{}
 	released := 0
-	c := NewChan(eng, eng, "in", DefaultConfig(), 0, 50, s)
+	c := NewChan(eng, "in", DefaultConfig(), 0, 50, s)
 	c.OnForward = func(int) { released++ }
 	eng.Schedule(0, func() {
 		for i := 0; i < 50; i++ {
@@ -173,8 +173,8 @@ func TestChanContendersAlternate(t *testing.T) {
 	// pool outright — the starvation bug that wedged one external link.
 	eng := sim.NewEngine()
 	o := &chokeOutlet{eng: eng, credits: sim.NewTokenPool(1)}
-	a := NewChan(eng, eng, "a", DefaultConfig(), 0, 25, o)
-	b := NewChan(eng, eng, "b", DefaultConfig(), 0, 25, o)
+	a := NewChan(eng, "a", DefaultConfig(), 0, 25, o)
+	b := NewChan(eng, "b", DefaultConfig(), 0, 25, o)
 	eng.Schedule(0, func() {
 		for i := 0; i < 25; i++ {
 			a.Inject(msg(0, 0, 0, 16))
@@ -210,7 +210,7 @@ func newTestFabric(eng *sim.Engine, cfg Config) (*Fabric, []*sinkOutlet, []*sink
 	// The test ingress bound is generous: tests inject whole batches in
 	// one instant, where the real system's link-level token pool admits
 	// only a dozen flits.
-	f := NewFabric(SingleEngine(eng, 4), cfg, 4, 4, []int{0, 2}, 512, vaultOutlets, egressOutlets)
+	f := NewFabric(eng, cfg, 4, 4, []int{0, 2}, 512, vaultOutlets, egressOutlets)
 	return f, vaults, egress
 }
 

@@ -233,8 +233,8 @@ func (t *NoCTracer) OnHop(queued int) {
 }
 
 // OnCreditStall records a bridge-channel admission attempt that found
-// the credit pool empty — the fabric's cross-shard back-pressure
-// signal. No-op on nil.
+// the credit pool empty — the fabric's back-pressure signal between
+// quadrants. No-op on nil.
 //
 //hmcsim:hotpath
 func (t *NoCTracer) OnCreditStall() {
@@ -300,100 +300,6 @@ type SystemTracer struct {
 
 	now      func() int64 // the owning engine's clock, for utilization windows
 	timeline *Timeline    // optional time-resolved activity series
-
-	// shards, keyed by shard index, hold the tracer plumbing of engine
-	// shards other than the primary in a sharded build: each shard's
-	// clock, its private timeline (Timeline mutates shared bucket state
-	// on Add, so engines must not share one), and its fabric tracer.
-	// Serial builds never populate it.
-	shards map[int]*shardState
-}
-
-// shardState is one engine shard's tracer plumbing.
-type shardState struct {
-	clock func() int64
-	tl    *Timeline
-	noc   *NoCTracer
-}
-
-// ShardClock registers the clock of engine shard s; tracers obtained
-// through ShardNoC/ShardVault use it, and, when a timeline is enabled,
-// samples for that shard land in a shard-private timeline exported as
-// its own process. Call after SetClock, during system assembly.
-func (t *SystemTracer) ShardClock(shard int, clock func() int64) {
-	if t == nil {
-		return
-	}
-	if t.shards == nil {
-		t.shards = map[int]*shardState{}
-	}
-	st := t.shards[shard]
-	if st == nil {
-		st = &shardState{}
-		t.shards[shard] = st
-	}
-	st.clock = clock
-	if t.timeline != nil && st.tl == nil {
-		st.tl = NewTimeline(t.timeline.WidthPs())
-	}
-}
-
-// ShardNoC returns the fabric tracer of engine shard s: a per-shard
-// tracer when ShardClock registered the shard, the primary NoC tracer
-// otherwise (the serial build's single shared tracer).
-func (t *SystemTracer) ShardNoC(shard int) *NoCTracer {
-	if t == nil {
-		return nil
-	}
-	st := t.shards[shard]
-	if st == nil {
-		return &t.NoC
-	}
-	if st.noc == nil {
-		st.noc = &NoCTracer{}
-		if st.tl != nil {
-			st.noc.now = st.clock
-			st.noc.tl = st.tl.Track("noc hops")
-			st.noc.tlS = st.tl.Track("noc credit stalls")
-		}
-	}
-	return st.noc
-}
-
-// ShardTimeline returns engine shard s's private timeline when one was
-// registered, falling back to the system timeline (the hub shard and
-// serial builds) and to nil when timelines are disabled.
-func (t *SystemTracer) ShardTimeline(shard int) *Timeline {
-	if t == nil {
-		return nil
-	}
-	if st := t.shards[shard]; st != nil && st.tl != nil {
-		return st.tl
-	}
-	return t.timeline
-}
-
-// ShardVault is Vault(id) for a vault living on engine shard s: the
-// tracer's clock and timeline tracks come from that shard. Falls back
-// to Vault(id) when the shard is unregistered.
-func (t *SystemTracer) ShardVault(id, shard int) *VaultTracer {
-	if t == nil {
-		return nil
-	}
-	st := t.shards[shard]
-	if st == nil {
-		return t.Vault(id)
-	}
-	for len(t.vaults) <= id {
-		t.vaults = append(t.vaults, &VaultTracer{})
-	}
-	vt := t.vaults[id]
-	vt.now = st.clock
-	if st.tl != nil {
-		vt.tl = st.tl.Track(fmt.Sprintf("vault %d", id))
-		vt.tlR = st.tl.Track("vault rejects")
-	}
-	return vt
 }
 
 // EnableTimeline attaches a timeline; component tracers created (or
@@ -622,13 +528,6 @@ func (c *Collector) Summary() *Summary {
 		s.NoC.Hops += sys.NoC.Hops
 		s.NoC.Stalls += sys.NoC.Stalls
 		nocQ.Merge(&sys.NoC.Queue)
-		for _, st := range sys.shards {
-			if st.noc != nil {
-				s.NoC.Hops += st.noc.Hops
-				s.NoC.Stalls += st.noc.Stalls
-				nocQ.Merge(&st.noc.Queue)
-			}
-		}
 		s.Host.TagTakes += sys.Host.TagTakes
 		s.Host.TagWaits += sys.Host.TagWaits
 		hostOut.Merge(&sys.Host.Outstanding)

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 )
 
@@ -252,142 +251,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if !names["vault 0"] || !names["link0.req flits"] {
 		t.Errorf("counter tracks = %v, want vault 0 and link0.req flits", names)
-	}
-}
-
-// TestSliceTrackFold pins the bounded-memory contract: a slice track
-// that fills coarsens by merging adjacent entries in place — total
-// duration and timestamp monotonicity survive, occupancy halves.
-func TestSliceTrackFold(t *testing.T) {
-	tl := NewTimeline(1000)
-	st := tl.Slices("barrier stall")
-	if tl.Slices("barrier stall") != st {
-		t.Fatal("Slices is not idempotent per name")
-	}
-	n := sliceCap + sliceCap/2
-	var wantDur int64
-	for i := 0; i < n; i++ {
-		st.Add(int64(i)*100, 7)
-		wantDur += 7
-	}
-	if st.Folds == 0 {
-		t.Fatal("overfilled slice track never folded")
-	}
-	if st.Len() > sliceCap {
-		t.Fatalf("Len %d exceeds capacity %d", st.Len(), sliceCap)
-	}
-	if got := st.TotalDurNanos(); got != wantDur {
-		t.Fatalf("TotalDurNanos = %d after fold, want %d", got, wantDur)
-	}
-	for i := 1; i < st.Len(); i++ {
-		if st.ts[i] < st.ts[i-1] {
-			t.Fatalf("timestamps not monotone after fold: ts[%d]=%d < ts[%d]=%d", i, st.ts[i], i-1, st.ts[i-1])
-		}
-	}
-}
-
-// TestSliceTrackNilSafe: the nil-receiver contract the tracer hooks
-// rely on — a disabled timeline yields nil tracks whose methods no-op.
-func TestSliceTrackNilSafe(t *testing.T) {
-	var tl *Timeline
-	st := tl.Slices("anything")
-	if st != nil {
-		t.Fatal("nil timeline returned a non-nil slice track")
-	}
-	st.Add(100, 5) // must not panic
-	if st.Len() != 0 || st.TotalDurNanos() != 0 {
-		t.Fatal("nil slice track reports nonzero state")
-	}
-	if tl.SliceTracks() != nil {
-		t.Fatal("nil timeline reports slice tracks")
-	}
-}
-
-// TestWriteChromeTraceSharded is the shards>1 export contract: every
-// registered shard with activity appears as its own process, slice
-// tracks come out as complete ("X") events on their own thread rows,
-// the whole payload is valid JSON, and within each (pid, tid, name)
-// track the timestamps are monotone.
-func TestWriteChromeTraceSharded(t *testing.T) {
-	var c Collector
-	st := c.NewSystem()
-	st.EnableTimeline(NewTimeline(1000))
-	var tick int64
-	st.SetClock(func() int64 { return tick })
-	for shard := 1; shard <= 2; shard++ {
-		shard := shard
-		st.ShardClock(shard, func() int64 { return tick })
-	}
-
-	// Counter activity on the primary plus both shards, and
-	// barrier-stall slices on the shards — monotone timestamps, as the
-	// single-writer shard goroutines guarantee in a real run.
-	vt := st.Vault(0)
-	for i := 0; i < 8; i++ {
-		tick = int64(i) * 1000
-		vt.OnAccept(1)
-		for shard := 1; shard <= 2; shard++ {
-			st.ShardNoC(shard).OnHop(1)
-			st.ShardTimeline(shard).Slices("barrier stall").Add(tick, int64(50+i))
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := c.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string          `json:"name"`
-			Ph   string          `json:"ph"`
-			Pid  int             `json:"pid"`
-			Tid  int             `json:"tid"`
-			Ts   float64         `json:"ts"`
-			Dur  float64         `json:"dur"`
-			Args json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("sharded trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-
-	procs := map[string]bool{}
-	slices := 0
-	lastTs := map[string]float64{}
-	for _, ev := range out.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "process_name" {
-				var args map[string]string
-				if err := json.Unmarshal(ev.Args, &args); err != nil {
-					t.Fatal(err)
-				}
-				procs[args["name"]] = true
-			}
-		case "C", "X":
-			if ev.Ph == "X" {
-				slices++
-				if ev.Dur <= 0 {
-					t.Fatalf("slice event with non-positive duration: %+v", ev)
-				}
-				if ev.Tid == 0 {
-					t.Fatalf("slice event on tid 0 (counter row): %+v", ev)
-				}
-			}
-			key := fmt.Sprintf("%d/%d/%s", ev.Pid, ev.Tid, ev.Name)
-			if prev, ok := lastTs[key]; ok && ev.Ts < prev {
-				t.Fatalf("track %s: timestamp %v precedes %v", key, ev.Ts, prev)
-			}
-			lastTs[key] = ev.Ts
-		}
-	}
-	for _, want := range []string{"system", "shard 1", "shard 2"} {
-		if !procs[want] {
-			t.Fatalf("process %q missing from trace (got %v)", want, procs)
-		}
-	}
-	if slices != 16 {
-		t.Fatalf("emitted %d slice events, want 16 (8 per shard)", slices)
 	}
 }
 

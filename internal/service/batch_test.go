@@ -5,8 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"hmcsim"
 )
@@ -14,14 +14,22 @@ import (
 // TestBatchSubmit: a mixed batch resolves cache hits inline, queues the
 // rest, and returns one view per spec in submission order.
 func TestBatchSubmit(t *testing.T) {
-	fake := newFake("e")
+	// The fake blocks until released, so the fresh jobs cannot finish
+	// before the batch handler takes their views.
+	fake := newBlockingFake("e")
 	s, c := newTestServer(t, Config{Workers: 2, QueueDepth: 8}, fake)
 	ctx := context.Background()
+	release := sync.OnceFunc(func() { close(fake.release) })
+	defer release()
 
-	// Warm the cache with seed 1.
-	warm, err := c.Run(ctx, hmcsim.Spec{Exp: "e", Options: hmcsim.Options{Seed: 1}}, 5*time.Millisecond)
-	if err != nil || warm.State != StateDone {
-		t.Fatalf("warm-up: %v / %+v", err, warm)
+	// Warm the cache with seed 1, letting exactly that run through.
+	warm, err := c.Submit(ctx, hmcsim.Spec{Exp: "e", Options: hmcsim.Options{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake.release <- struct{}{}
+	if warm = waitJob(t, c, warm.ID); warm.State != StateDone {
+		t.Fatalf("warm-up: %+v", warm)
 	}
 
 	views, err := c.SubmitBatch(ctx, []hmcsim.Spec{
@@ -44,6 +52,7 @@ func TestBatchSubmit(t *testing.T) {
 			t.Fatalf("fresh view %d already terminal: %+v", i+1, v)
 		}
 	}
+	release()
 	for _, v := range views[1:] {
 		if got := waitJob(t, c, v.ID); got.State != StateDone {
 			t.Fatalf("job %s ended %s", v.ID, got.State)

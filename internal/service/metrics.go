@@ -43,7 +43,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("hmcsim_uptime_seconds", "Seconds since daemon start.", st.UptimeSeconds)
 	gauge("hmcsim_goroutines", "Live goroutines in the daemon process.", float64(st.Goroutines))
 	gauge("hmcsim_workers", "Size of the simulation worker pool.", float64(st.Workers))
-	gauge("hmcsim_engine_shards", "Parallel engine shards per simulation; 0 = serial reference engine.", float64(st.EngineShards))
 	gauge("hmcsim_experiments", "Registered experiment runners.", float64(st.Experiments))
 	gauge("hmcsim_queue_depth", "Jobs waiting for a worker.", float64(st.QueueDepth))
 	gauge("hmcsim_queue_capacity", "Job queue capacity.", float64(st.QueueCap))
@@ -90,23 +89,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP hmcsim_worker_busy_seconds_total Wall time per worker spent running jobs.\n# TYPE hmcsim_worker_busy_seconds_total counter\n")
 	for _, ws := range st.WorkerStats {
 		fmt.Fprintf(&b, "hmcsim_worker_busy_seconds_total{worker=\"%d\"} %g\n", ws.Worker, ws.BusyMs/1000)
-	}
-
-	// Per-shard lockstep telemetry, present only when the daemon runs a
-	// sharded engine: cumulative wall time each shard spent waiting at
-	// window barriers, and the derived busy ratio. The shard label is
-	// the lockstep position (0 = hub, 1..n-1 = quadrant shards).
-	if len(st.ShardBarrierMs) > 0 {
-		fmt.Fprintf(&b, "# HELP hmcsim_shard_barrier_wait_ms Wall milliseconds each engine shard spent at window barriers.\n# TYPE hmcsim_shard_barrier_wait_ms counter\n")
-		for i, ms := range st.ShardBarrierMs {
-			fmt.Fprintf(&b, "hmcsim_shard_barrier_wait_ms{shard=\"%d\"} %g\n", i, ms)
-		}
-	}
-	if len(st.ShardBusyRatio) > 0 {
-		fmt.Fprintf(&b, "# HELP hmcsim_shard_busy_ratio Fraction of each shard's wall time spent executing events rather than waiting at barriers.\n# TYPE hmcsim_shard_busy_ratio gauge\n")
-		for i, ratio := range st.ShardBusyRatio {
-			fmt.Fprintf(&b, "hmcsim_shard_busy_ratio{shard=\"%d\"} %g\n", i, ratio)
-		}
 	}
 
 	counter("hmcsim_sim_events_total", "Engine events retired across all jobs.", float64(st.SimEvents))

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"hmcsim"
-	"hmcsim/internal/sim"
 )
 
 var (
@@ -34,11 +33,6 @@ var (
 // Config sizes the serving layer. The zero value picks sensible
 // defaults.
 type Config struct {
-	// Shards is the per-simulation engine shard count every worker runs
-	// jobs with; 0 (the default) keeps the serial reference engine.
-	// Results are byte-identical either way, so the cache and spec keys
-	// are unaffected; only wall-clock time per job changes.
-	Shards int
 	// Workers is the number of concurrent simulations; <= 0 means
 	// runtime.NumCPU().
 	Workers int
@@ -256,8 +250,7 @@ func (s *Server) runJob(j *Job, worker int) {
 	defer s.running.Add(-1)
 	runner := s.runners[j.spec.Exp] // validated at submission
 	o := j.spec.Options
-	o.Workers = 1           // one engine per worker
-	o.Shards = s.cfg.Shards // each engine may itself be sharded
+	o.Workers = 1 // one engine per worker
 	// Stream sweep/engine progress to the job's watchers and fold the
 	// deltas into the daemon-wide counters. The sink serializes calls,
 	// so last needs no lock.
@@ -269,19 +262,8 @@ func (s *Server) runJob(j *Job, worker int) {
 		last = p
 		j.setProgress(p)
 	})
-	// Sharded jobs carry the lockstep observatory so the flight record
-	// can attribute latency to barrier waits. The telemetry never folds
-	// into the Result itself: cached bytes stay byte-identical to
-	// serial and local runs.
-	var ssc *hmcsim.ShardStatsCollector
-	if o.Shards >= 1 {
-		pctx, ssc = hmcsim.WithShardStats(pctx)
-	}
 	res, err := runSafely(pctx, runner, o)
 	j.markRunEnd()
-	if ssc != nil {
-		j.setShardStats(ssc.Stats())
-	}
 	switch {
 	case j.ctx.Err() != nil:
 		// The sweep returned early with partial data; discard it.
@@ -310,7 +292,6 @@ func (s *Server) recordFlight(r FlightRecord) {
 		"job", r.ID, "exp", r.Exp, "traceId", r.TraceID,
 		"state", string(r.State), "cached", r.Cached, "worker", r.Worker,
 		"queueMs", r.QueueMs, "runMs", r.RunMs, "totalMs", r.TotalMs,
-		"shards", r.Shards, "barrierWaitMs", r.BarrierWaitMs,
 		"error", r.Error)
 }
 
@@ -679,17 +660,6 @@ type Stats struct {
 	SimEvents   uint64  `json:"simEvents"`
 	SimTimeMs   float64 `json:"simTimeMs"`
 	SweepPoints uint64  `json:"sweepPoints"`
-	// EngineShards is the per-simulation shard count jobs run with (0 =
-	// serial reference engine); ShardBusyMs, ShardBarrierMs and
-	// ShardBusyRatio, present only when sharded, are cumulative
-	// wall-clock execution / barrier-wait time per shard index across
-	// every sharded engine the process has run, and busy's share of
-	// their sum — the skew between entries shows how evenly the cube
-	// partitions, and low ratios show barrier-bound partitions.
-	EngineShards   int       `json:"engineShards"`
-	ShardBusyMs    []float64 `json:"shardBusyMs,omitempty"`
-	ShardBarrierMs []float64 `json:"shardBarrierMs,omitempty"`
-	ShardBusyRatio []float64 `json:"shardBusyRatio,omitempty"`
 }
 
 // WorkerStatView is one worker's row in Stats.
@@ -724,47 +694,24 @@ func (s *Server) Snapshot() Stats {
 			IdleMs: float64(idle.Microseconds()) / 1000,
 		}
 	}
-	var shardBusy, shardBarrier, shardRatio []float64
-	if s.cfg.Shards > 0 {
-		busyNs := sim.ShardBusyNanos()
-		barNs := sim.ShardBarrierNanos()
-		n := s.cfg.Shards
-		if n > len(busyNs) {
-			n = len(busyNs)
-		}
-		shardBusy = make([]float64, n)
-		shardBarrier = make([]float64, n)
-		shardRatio = make([]float64, n)
-		for i := range shardBusy {
-			shardBusy[i] = float64(busyNs[i]) / 1e6
-			shardBarrier[i] = float64(barNs[i]) / 1e6
-			if total := shardBusy[i] + shardBarrier[i]; total > 0 {
-				shardRatio[i] = shardBusy[i] / total
-			}
-		}
-	}
 	return Stats{
-		Experiments:    len(s.names),
-		Workers:        s.cfg.Workers,
-		EngineShards:   s.cfg.Shards,
-		ShardBusyMs:    shardBusy,
-		ShardBarrierMs: shardBarrier,
-		ShardBusyRatio: shardRatio,
-		QueueDepth:     queued,
-		QueueCap:       s.cfg.QueueDepth,
-		Jobs:           jobs,
-		Cache:          s.cache.Stats(),
-		Inflight:       int(s.running.Load()),
-		InflightPeak:   int(s.runningPeak.Load()),
-		Batches:        s.batches.Load(),
-		BatchSpecs:     s.batchSpecs.Load(),
-		UptimeSeconds:  uptime.Seconds(),
-		Version:        version(),
-		Goroutines:     runtime.NumGoroutine(),
-		WorkerStats:    ws,
-		SimEvents:      s.simEvents.Load(),
-		SimTimeMs:      float64(s.simTimePs.Load()) / 1e9,
-		SweepPoints:    s.sweepPoints.Load(),
+		Experiments:   len(s.names),
+		Workers:       s.cfg.Workers,
+		QueueDepth:    queued,
+		QueueCap:      s.cfg.QueueDepth,
+		Jobs:          jobs,
+		Cache:         s.cache.Stats(),
+		Inflight:      int(s.running.Load()),
+		InflightPeak:  int(s.runningPeak.Load()),
+		Batches:       s.batches.Load(),
+		BatchSpecs:    s.batchSpecs.Load(),
+		UptimeSeconds: uptime.Seconds(),
+		Version:       version(),
+		Goroutines:    runtime.NumGoroutine(),
+		WorkerStats:   ws,
+		SimEvents:     s.simEvents.Load(),
+		SimTimeMs:     float64(s.simTimePs.Load()) / 1e9,
+		SweepPoints:   s.sweepPoints.Load(),
 	}
 }
 

@@ -17,12 +17,6 @@ type Result struct {
 	Options Options  `json:"options"`
 	Series  []Series `json:"series"`
 
-	// Group is the lockstep-observatory snapshot a sharded run folds in
-	// when shard stats were requested (`hmcsim -shardstats`). Omitted
-	// otherwise — serial results, AB goldens and daemon cache keys are
-	// byte-identical with and without the observatory attached.
-	Group *GroupStats `json:"group,omitempty"`
-
 	// Text is the pre-rendered human form, excluded from JSON.
 	Text string `json:"-"`
 }
