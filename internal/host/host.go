@@ -117,10 +117,8 @@ type Controller struct {
 	jobs     sim.Ring[ctrlJob] // on the packet engine, FIFO by Reserve order
 	engineFn func()
 	txq      sim.Ring[*packet.Packet] // in the Tx pipeline (constant TxLatency)
-	txLine   *sim.Line
 	txFn     func()
 	rxq      sim.Ring[*packet.Transaction] // in the Rx pipeline (constant RxLatency)
-	rxLine   *sim.Line
 	rxFn     func()
 
 	// blockedq[l] holds, in park order, the requests that found every
@@ -155,8 +153,6 @@ func NewController(eng *sim.Engine, cfg Config, dev Device) *Controller {
 		dev:      dev,
 		ports:    make(map[int]completer),
 		engine:   sim.NewServer(eng),
-		txLine:   eng.NewLine(),
-		rxLine:   eng.NewLine(),
 		slotTime: sim.Time(float64(period)/cfg.CtrlFlitSlotsPerCycle + 0.5),
 	}
 	c.engineFn = c.engineDone
@@ -208,18 +204,21 @@ func (c *Controller) engineDone() {
 		c.dev.ReleaseResp(j.pkt.Link, j.pkt.Flits())
 		packet.PutPacket(j.pkt)
 		c.rxq.Push(tr)
-		c.rxLine.After(c.cfg.RxLatency, c.rxFn)
+		c.eng.Schedule(c.cfg.RxLatency, c.rxFn)
 		return
 	}
 	c.txq.Push(j.pkt)
-	c.txLine.After(c.cfg.TxLatency, c.txFn)
+	c.eng.Schedule(c.cfg.TxLatency, c.txFn)
 }
 
-// txDone fires TxLatency after a request finished the packet engine.
+// txDone fires TxLatency after a request finished the packet engine;
+// the latency is constant, so requests leave the Tx pipeline in the
+// order they entered it.
 func (c *Controller) txDone() { c.sendReq(c.txq.Pop()) }
 
 // rxDone fires RxLatency after a response left the link buffer: the
-// transaction returns to its issuing port.
+// transaction returns to its issuing port. The latency is constant, so
+// responses leave the Rx pipeline in the order they entered it.
 func (c *Controller) rxDone() {
 	tr := c.rxq.Pop()
 	port, ok := c.ports[tr.Port]

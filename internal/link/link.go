@@ -77,7 +77,6 @@ type Dir struct {
 	serq   sim.Ring[*packet.Packet] // on the serializer, FIFO by Reserve order
 	serFn  func()
 	wireq  sim.Ring[*packet.Packet] // on the wire, FIFO by constant WireLatency
-	wire   *sim.Line
 	wireFn func()
 
 	packets uint64
@@ -104,7 +103,6 @@ func NewDir(eng *sim.Engine, name string, cfg Config, deliver func(*packet.Packe
 		cfg:      cfg,
 		flitTime: cfg.FlitTime(),
 		ser:      sim.NewServer(eng),
-		wire:     eng.NewLine(),
 		tokens:   sim.NewTokenPool(cfg.RxBufFlits),
 		rng:      sim.NewRand(cfg.Seed),
 		deliver:  deliver,
@@ -160,7 +158,7 @@ func (d *Dir) serDone() {
 	d.flits += uint64(flits)
 	d.trace.OnTx(flits, int64(d.flitTime)*int64(flits))
 	d.wireq.Push(p)
-	d.wire.After(d.cfg.WireLatency, d.wireFn)
+	d.eng.Schedule(d.cfg.WireLatency, d.wireFn)
 }
 
 // wireDone fires WireLatency after a packet finished serializing; the

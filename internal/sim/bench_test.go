@@ -11,8 +11,11 @@ import (
 // Run with: go test -bench=. -benchmem ./internal/sim/...
 
 // BenchmarkEngineScheduleFire measures one schedule + one fire against a
-// populated heap, the kernel's innermost loop. The pending-event count
-// stays constant, so the heap never grows mid-measurement.
+// fixed number of pending events, the kernel's innermost loop. In the
+// pendingN cases every event is scheduled the same delay ahead, so each
+// push appends to one calendar bucket. The mix cases draw each delay
+// from the model's mix (modelDelays), so pushes also land in the middle
+// of a bucket and beyond the horizon.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	for _, pending := range []int{1, 64, 4096} {
 		b.Run(benchName("pending", pending), func(b *testing.B) {
@@ -29,24 +32,25 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkLineAtFire is BenchmarkEngineScheduleFire on one Line: the
-// pending items wait in the line's ring instead of the heap, so the
-// cost should not grow with their number.
-func BenchmarkLineAtFire(b *testing.B) {
-	for _, pending := range []int{1, 64, 4096} {
-		b.Run(benchName("pending", pending), func(b *testing.B) {
+	for _, pending := range []int{64, 1024} {
+		b.Run(benchName("mix/pending", pending), func(b *testing.B) {
 			eng := NewEngine()
-			l := eng.NewLine()
 			fn := func() {}
+			r := NewRand(1)
+			delay := func() Time { return modelDelays[r.Intn(len(modelDelays))] }
 			for i := 0; i < pending; i++ {
-				l.At(Time(i), fn)
+				eng.Schedule(delay(), fn)
+			}
+			// Warm up until the node pool and the far heap have reached
+			// their high-water marks.
+			for i := 0; i < 64*pending; i++ {
+				eng.Schedule(delay(), fn)
+				eng.Step()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				l.After(Time(pending), fn)
+				eng.Schedule(delay(), fn)
 				eng.Step()
 			}
 		})
@@ -54,7 +58,7 @@ func BenchmarkLineAtFire(b *testing.B) {
 }
 
 // BenchmarkEngineTimerTick measures a self-rescheduling Timer, the
-// pattern the host ports use for their clock ticks: one heap push and
+// pattern the host ports use for their clock ticks: one queue push and
 // one fire per tick, no closure per wakeup.
 func BenchmarkEngineTimerTick(b *testing.B) {
 	eng := NewEngine()

@@ -3,11 +3,9 @@ package sim
 // Server models a resource that serves one item at a time for a fixed or
 // per-item duration: a bus, a port, a DRAM data path. Work is serialized:
 // a reservation made while the server is busy begins when the previous one
-// ends. Completions therefore never go back in time, and they run on the
-// server's own Line.
+// ends.
 type Server struct {
 	eng  *Engine
-	line Line
 	free Time // earliest time the next reservation may start
 
 	busyArea float64 // integral of busy time, for utilization
@@ -15,11 +13,7 @@ type Server struct {
 }
 
 // NewServer returns a Server bound to eng, idle at time zero.
-func NewServer(eng *Engine) *Server {
-	s := &Server{eng: eng}
-	s.line.init(eng)
-	return s
-}
+func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
 
 // Reserve books the server for dur starting no earlier than now, returns
 // the completion time, and schedules done (if non-nil) at that time.
@@ -36,7 +30,7 @@ func (s *Server) Reserve(dur Time, done func()) Time {
 	s.busyArea += float64(dur)
 	s.served++
 	if done != nil {
-		s.line.At(end, done)
+		s.eng.At(end, done)
 	}
 	return end
 }

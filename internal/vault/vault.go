@@ -109,7 +109,6 @@ type Vault struct {
 	tsvQ         sim.Ring[*packet.Transaction]
 	ctrlFn       func()
 	ctrlQ        sim.Ring[*packet.Transaction]
-	ctrlLine     *sim.Line
 	pumpFn       func()
 
 	reads, writes uint64
@@ -141,7 +140,6 @@ func New(eng *sim.Engine, cfg Config, resp RespOutlet) *Vault {
 		queues:    make([]*sim.Queue[*packet.Transaction], cfg.Banks),
 		bankBusy:  make([]bool, cfg.Banks),
 		tsv:       sim.NewServer(eng),
-		ctrlLine:  eng.NewLine(),
 		tsvTokens: sim.NewTokenPool(cfg.TSVWindow),
 		out:       sim.NewQueue[*packet.Transaction](0),
 		trace:     cfg.Trace,
@@ -295,7 +293,7 @@ func (v *Vault) tsvDone() {
 	tr := v.tsvQ.Pop()
 	v.tsvTokens.Release(1)
 	v.ctrlQ.Push(tr)
-	v.ctrlLine.After(v.cfg.CtrlLatency, v.ctrlFn)
+	v.eng.Schedule(v.cfg.CtrlLatency, v.ctrlFn)
 }
 
 // ctrlDone fires CtrlLatency after a transaction crossed the TSV; the
