@@ -110,7 +110,7 @@ func (c *Channel) rowOf(a uint64) uint64 {
 // TryAccess enqueues a request; done fires when data completes. It
 // reports false when the controller queue is full.
 func (c *Channel) TryAccess(req *Request, done func(*Request)) bool {
-	if !c.queue.Push(c.eng.Now(), req) {
+	if !c.queue.Push(req) {
 		return false
 	}
 	req.fn = done
@@ -124,7 +124,6 @@ func (c *Channel) Notify(fn func()) { c.waiters = append(c.waiters, fn) }
 // pump issues queued requests to idle banks, FR-FCFS-lite: the head
 // request of each idle bank issues in arrival order.
 func (c *Channel) pump() {
-	now := c.eng.Now()
 	for i := 0; i < c.queue.Len(); {
 		req := c.queue.At(i)
 		b := c.bankOf(req.Addr)
@@ -132,7 +131,7 @@ func (c *Channel) pump() {
 			i++
 			continue
 		}
-		c.queue.RemoveAt(now, i)
+		c.queue.RemoveAt(i)
 		c.busyBank[b] = true
 		c.issue(req, b)
 		w := c.waiters

@@ -116,12 +116,11 @@ type sendRec struct {
 // twinSide is one controller, the reference or the real one, behind its
 // own engine and fake device.
 type twinSide struct {
-	eng   *sim.Engine
-	dev   *fakeDev
-	send  func(*packet.Packet)
-	rr    func() int
-	rings []sim.Ring[*packet.Packet] // the controller's blockedq
-	ctrl  *Controller                // nil on the reference side
+	eng    *sim.Engine
+	dev    *fakeDev
+	send   func(*packet.Packet)
+	rr     func() int
+	parked func(l int) []*packet.Packet // link l's parked requests, in order
 
 	pkts      []*packet.Packet // every request handed over, indexed by ID
 	sent      []bool
@@ -137,7 +136,7 @@ type twinState struct {
 	Delivered [][]uint64
 	Tokens    []int
 	RR        int
-	Rings     [][]uint64
+	Parked    [][]uint64 // request IDs parked on each link, in order
 }
 
 func newTwinSide(links, bufFlits int, ref bool) *twinSide {
@@ -146,10 +145,19 @@ func newTwinSide(links, bufFlits int, ref bool) *twinSide {
 	s.dev.onDeliver = func(l int, p *packet.Packet) { s.delivered[l] = append(s.delivered[l], p.Tr.ID) }
 	if ref {
 		c := newRefController(s.dev)
-		s.send, s.rr, s.rings = c.sendReq, func() int { return c.rr }, c.blockedq
+		s.send, s.rr = c.sendReq, func() int { return c.rr }
+		s.parked = func(l int) []*packet.Packet {
+			q := &c.blockedq[l]
+			pkts := make([]*packet.Packet, q.Len())
+			for i := range pkts {
+				pkts[i] = q.At(i)
+			}
+			return pkts
+		}
 	} else {
 		c := NewController(s.eng, DefaultConfig(), s.dev)
-		s.send, s.rr, s.rings, s.ctrl = c.sendReq, func() int { return c.rr }, c.blockedq, c
+		s.send, s.rr = c.sendReq, func() int { return c.rr }
+		s.parked = func(l int) []*packet.Packet { return c.blocked[l] }
 	}
 	return s
 }
@@ -177,12 +185,12 @@ func (s *twinSide) apply(op twinOp) {
 }
 
 // scan logs the requests that left the controller in the last step: handed
-// over, not logged yet, and in no parked ring.
+// over, not logged yet, and parked on no link.
 func (s *twinSide) scan() {
 	parked := make(map[*packet.Packet]bool)
-	for l := range s.rings {
-		for i := 0; i < s.rings[l].Len(); i++ {
-			parked[s.rings[l].At(i)] = true
+	for l := range s.dev.dirs {
+		for _, p := range s.parked(l) {
+			parked[p] = true
 		}
 	}
 	for id, p := range s.pkts {
@@ -195,21 +203,21 @@ func (s *twinSide) scan() {
 
 func (s *twinSide) parkedTotal() int {
 	n := 0
-	for l := range s.rings {
-		n += s.rings[l].Len()
+	for l := range s.dev.dirs {
+		n += len(s.parked(l))
 	}
 	return n
 }
 
 func (s *twinSide) state() twinState {
 	st := twinState{Now: s.eng.Now(), Fired: s.eng.Fired(), Sends: s.sends, Delivered: s.delivered, RR: s.rr()}
-	for l := range s.rings {
+	for l := range s.dev.dirs {
 		st.Tokens = append(st.Tokens, s.dev.dirs[l].TokensAvailable())
 		ids := []uint64{}
-		for i := 0; i < s.rings[l].Len(); i++ {
-			ids = append(ids, s.rings[l].At(i).Tr.ID)
+		for _, p := range s.parked(l) {
+			ids = append(ids, p.Tr.ID)
 		}
-		st.Rings = append(st.Rings, ids)
+		st.Parked = append(st.Parked, ids)
 	}
 	return st
 }
@@ -256,12 +264,6 @@ func runTwin(t *testing.T, links, bufFlits int, ops []twinOp) {
 		if want, have := ref.state(), got.state(); !reflect.DeepEqual(want, have) {
 			t.Fatalf("step %d: controller diverged from the reference\nreference: %+v\ncontroller: %+v", step, want, have)
 		}
-		// Between wake-ups, every parked request is counted.
-		for l, n := range got.ctrl.parked {
-			if n != got.rings[l].Len() {
-				t.Fatalf("step %d: link %d counts %d parked requests, its ring holds %d", step, l, n, got.rings[l].Len())
-			}
-		}
 	}
 	if len(got.sends) != len(got.pkts) {
 		t.Fatalf("%d of %d requests sent", len(got.sends), len(got.pkts))
@@ -293,11 +295,12 @@ func randomOps(seed uint64, links, n int) []twinOp {
 
 // TestControllerMatchesPerRequestWaiters holds the one-waiter-per-link
 // wake-up to the per-request waiters it replaced: under seeded request
-// mixes and releases, every request leaves at the same time, on the same
-// link and in the same order, and rr, each link's free tokens and each
-// parked ring agree after every engine step.
+// mixes and releases over one to four links (the HMC maximum), every
+// request leaves at the same time, on the same link and in the same
+// order, and rr, each link's free tokens and each link's parked requests
+// agree after every engine step.
 func TestControllerMatchesPerRequestWaiters(t *testing.T) {
-	for links := 1; links <= 3; links++ {
+	for links := 1; links <= 4; links++ {
 		for seed := uint64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("links%d/seed%d", links, seed), func(t *testing.T) {
 				runTwin(t, links, 12, randomOps(seed, links, 600))
@@ -307,12 +310,12 @@ func TestControllerMatchesPerRequestWaiters(t *testing.T) {
 }
 
 // TestControllerTooLargeHeadRequest parks a 9-flit write at the head of
-// link 0's ring with 1-flit reads behind it, then frees 1-9 flits on
+// link 0's list with 1-flit reads behind it, then frees 1-9 flits on
 // link 0 alone: the write cannot leave below 9 free flits, yet its
 // attempt still advances rr, and the reads behind it take the tokens.
 func TestControllerTooLargeHeadRequest(t *testing.T) {
 	const buf = 12
-	for links := 1; links <= 3; links++ {
+	for links := 1; links <= 4; links++ {
 		for free := 1; free <= 9; free++ {
 			t.Run(fmt.Sprintf("links%d/free%d", links, free), func(t *testing.T) {
 				var ops []twinOp
@@ -351,8 +354,8 @@ func TestControllerDrainStrandsNoRequest(t *testing.T) {
 	var watch func()
 	watch = func() {
 		n := 0
-		for l := range r.ctrl.blockedq {
-			n += r.ctrl.blockedq[l].Len()
+		for _, q := range r.ctrl.blocked {
+			n += len(q)
 		}
 		maxParked = max(maxParked, n)
 		if r.eng.Now() < stop {
@@ -375,9 +378,9 @@ func TestControllerDrainStrandsNoRequest(t *testing.T) {
 	if maxParked < 100 {
 		t.Fatalf("at most %d requests parked; the load never backed up", maxParked)
 	}
-	for l := range r.ctrl.blockedq {
-		if n, c := r.ctrl.blockedq[l].Len(), r.ctrl.parked[l]; n != 0 || c != 0 {
-			t.Errorf("link %d: %d requests still parked, count %d", l, n, c)
+	for l, q := range r.ctrl.blocked {
+		if len(q) != 0 {
+			t.Errorf("link %d: %d requests still parked", l, len(q))
 		}
 		if got, want := r.cube.ReqDir(l).TokensAvailable(), hmc.DefaultConfig().ReqRxBufFlits; got != want {
 			t.Errorf("link %d: %d request tokens free after drain, want %d", l, got, want)
@@ -438,7 +441,7 @@ func BenchmarkControllerBlockedRelease(b *testing.B) {
 }
 
 // TestControllerBlockedReleaseDoesNotAllocate pins the benchmark's
-// 0 allocs/op: parking, waking and re-dealing requests reuse the rings
+// 0 allocs/op: parking, waking and re-dealing requests reuse the lists
 // and waiter arrays once they have grown.
 func TestControllerBlockedReleaseDoesNotAllocate(t *testing.T) {
 	op := newBacklog()

@@ -121,13 +121,14 @@ type Controller struct {
 	rxq      sim.Ring[*packet.Transaction] // in the Rx pipeline (constant RxLatency)
 	rxFn     func()
 
-	// blockedq[l] holds, in park order, the requests that found every
+	// blocked[l] holds, in park order, the requests that found every
 	// link full and wait on link l's token pool (the first link their
-	// attempt round-robin tried). parked[l] counts those parked since
-	// link l's last wake-up; the park that takes it from 0 registers
-	// retryFns[l], the link's one waiter, on the pool.
-	blockedq []sim.Ring[*packet.Packet]
-	parked   []int
+	// attempt round-robin tried). The park that makes it non-empty
+	// registers retryFns[l], the link's one waiter, on the pool, and the
+	// wake-up takes the list whole. spare is the last taken list,
+	// emptied and kept so that lists are recycled, not regrown.
+	blocked  [][]*packet.Packet
+	spare    []*packet.Packet
 	retryFns []func()
 
 	reqsSent  uint64
@@ -158,8 +159,7 @@ func NewController(eng *sim.Engine, cfg Config, dev Device) *Controller {
 	c.engineFn = c.engineDone
 	c.txFn = c.txDone
 	c.rxFn = c.rxDone
-	c.blockedq = make([]sim.Ring[*packet.Packet], dev.Links())
-	c.parked = make([]int, dev.Links())
+	c.blocked = make([][]*packet.Packet, dev.Links())
 	c.retryFns = make([]func(), dev.Links())
 	for l := range c.retryFns {
 		l := l
@@ -233,7 +233,7 @@ func (c *Controller) rxDone() {
 //
 //hmcsim:hotpath
 func (c *Controller) sendReq(pkt *packet.Packet) {
-	links := len(c.blockedq)
+	links := len(c.blocked)
 	first := c.next()
 	for i := 0; i < links; i++ {
 		l := (first + i) % links
@@ -253,55 +253,71 @@ func (c *Controller) sendReq(pkt *packet.Packet) {
 //hmcsim:hotpath
 func (c *Controller) next() int {
 	first := c.rr
-	if c.rr++; c.rr == len(c.blockedq) {
+	if c.rr++; c.rr == len(c.blocked) {
 		c.rr = 0
 	}
 	return first
 }
 
-// park queues pkt behind link l's blocked requests. Only the first park
-// since l's last wake-up registers a waiter, so a token release runs one
-// callback per link however many requests wait.
+// park queues pkt behind link l's blocked requests. Only the park that
+// makes the list non-empty registers a waiter, so a token release runs
+// one callback per link however many requests wait.
 //
 //hmcsim:hotpath
 func (c *Controller) park(l int, pkt *packet.Packet) {
-	c.blockedq[l].Push(pkt)
-	c.parked[l]++
-	if c.parked[l] == 1 {
+	if len(c.blocked[l]) == 0 {
 		c.dev.ReqDir(l).NotifyTokens(c.retryFns[l])
 	}
+	c.blocked[l] = append(c.blocked[l], pkt)
 }
 
-// retry is link l's token waiter. It gives each request parked since the
-// last wake-up, from the ring head in park order, one send attempt, just
-// as one waiter per parked request would, so every request leaves at the
-// same time, on the same link and in the same order. Requests it
-// re-parks on l queue behind those and wait for the next release. The
-// count, unlike the ring's length, stays exact if a release ever
-// re-enters a wake-up.
+// retry is link l's token waiter. It takes l's list whole, giving the
+// link the spare list, and gives its requests, from the head in park
+// order, one send attempt each, just as one waiter per parked request
+// would, so every request leaves at the same time, on the same link and
+// in the same order. Requests it re-parks on l land in the fresh list
+// and wait for the next release.
 //
 // Once no link has a free token, no request can leave before the next
 // event, so the rest are dealt round-robin from rr, where their attempts
-// would park them, without reading their packets.
+// would park them, without reading their packets: rest[j] goes to link
+// (rr+j) mod links, so link t takes every links-th request from offset
+// (t-rr) mod links, appended in one pass per link.
 //
 //hmcsim:hotpath
 func (c *Controller) retry(l int) {
-	n := c.parked[l]
-	c.parked[l] = 0
-	q := &c.blockedq[l]
-	for ; n > 0 && c.tokensFree(); n-- {
-		c.sendReq(q.Pop())
+	list := c.blocked[l]
+	c.blocked[l], c.spare = c.spare, nil // nil while lent, never lent twice
+	i := 0
+	for ; i < len(list) && c.tokensFree(); i++ {
+		c.sendReq(list[i])
 	}
-	for ; n > 0; n-- {
-		c.park(c.next(), q.Pop())
+	rest := list[i:]
+	links := len(c.blocked)
+	for t := range c.blocked {
+		off := (t - c.rr + links) % links
+		if off >= len(rest) {
+			continue
+		}
+		q := c.blocked[t]
+		if len(q) == 0 {
+			c.dev.ReqDir(t).NotifyTokens(c.retryFns[t])
+		}
+		for j := off; j < len(rest); j += links {
+			q = append(q, rest[j])
+		}
+		c.blocked[t] = q
 	}
+	c.rr = (c.rr + len(rest)) % links
+	clear(list)
+	c.spare = list[:0]
 }
 
 // tokensFree reports whether any request link has a free token.
 //
 //hmcsim:hotpath
 func (c *Controller) tokensFree() bool {
-	for l := range c.blockedq {
+	for l := range c.blocked {
 		if c.dev.ReqDir(l).TokensAvailable() > 0 {
 			return true
 		}

@@ -226,7 +226,7 @@ func (r *Router) routeIndex(m *Message) int {
 func (r *Router) accept(m *Message) {
 	r.received++
 	i := r.routeIndex(m)
-	r.outlets[i].queue.Push(r.eng.Now(), m)
+	r.outlets[i].queue.Push(m)
 	if r.cfg.Trace != nil {
 		// Guarded (not a nil-receiver hook) because the occupancy scan
 		// itself is work the untraced path must not pay.
@@ -249,7 +249,7 @@ func (r *Router) pump(i int) {
 	if o.pumping {
 		return
 	}
-	m, ok := o.queue.Pop(r.eng.Now())
+	m, ok := o.queue.Pop()
 	if !ok {
 		return
 	}

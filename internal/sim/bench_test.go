@@ -102,17 +102,17 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		b.Run(benchName("occ", occ), func(b *testing.B) {
 			q := NewQueue[int](0)
 			for i := 0; i < occ; i++ {
-				q.Push(0, i)
+				q.Push(i)
 			}
 			// One warm-up cycle so the ring reaches its steady-state size
 			// (occupancy+1) before measurement starts.
-			q.Push(0, 0)
-			q.Pop(0)
+			q.Push(0)
+			q.Pop()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q.Push(Time(i), i)
-				q.Pop(Time(i))
+				q.Push(i)
+				q.Pop()
 			}
 		})
 	}
@@ -123,15 +123,15 @@ func BenchmarkQueuePushPop(b *testing.B) {
 func BenchmarkQueueRemoveAt(b *testing.B) {
 	q := NewQueue[int](0)
 	for i := 0; i < 128; i++ {
-		q.Push(0, i)
+		q.Push(i)
 	}
-	q.Push(0, 0)
-	q.RemoveAt(0, 0)
+	q.Push(0)
+	q.RemoveAt(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(Time(i), i)
-		q.RemoveAt(Time(i), 0)
+		q.Push(i)
+		q.RemoveAt(0)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
-// Queue is a bounded FIFO used to model hardware buffers. It tracks
-// occupancy statistics so experiments can reason about queuing delay.
+// Queue is a bounded FIFO used to model hardware buffers.
 //
 // Queue is generic over the element type; the simulator mostly stores
 // packet pointers in queues. The storage is a Ring, so Pop and RemoveAt
@@ -11,13 +10,6 @@ package sim
 type Queue[T any] struct {
 	ring     Ring[T]
 	capacity int
-
-	// Stats.
-	enq, deq  uint64
-	maxOcc    int
-	occArea   float64 // integral of occupancy over time (for Little's law)
-	lastT     Time
-	statsInit bool
 }
 
 // NewQueue returns a FIFO with the given capacity. A capacity <= 0 means
@@ -44,16 +36,11 @@ func (q *Queue[T]) Empty() bool { return q.ring.Empty() }
 // boolean to model back-pressure; a false return leaves the queue unchanged.
 //
 //hmcsim:hotpath
-func (q *Queue[T]) Push(now Time, v T) bool {
+func (q *Queue[T]) Push(v T) bool {
 	if q.Full() {
 		return false
 	}
-	q.account(now)
 	q.ring.Push(v)
-	q.enq++
-	if q.ring.Len() > q.maxOcc {
-		q.maxOcc = q.ring.Len()
-	}
 	return true
 }
 
@@ -61,13 +48,11 @@ func (q *Queue[T]) Push(now Time, v T) bool {
 // queue is empty.
 //
 //hmcsim:hotpath
-func (q *Queue[T]) Pop(now Time) (T, bool) {
+func (q *Queue[T]) Pop() (T, bool) {
 	var zero T
 	if q.ring.Empty() {
 		return zero, false
 	}
-	q.account(now)
-	q.deq++
 	return q.ring.Pop(), true
 }
 
@@ -81,48 +66,7 @@ func (q *Queue[T]) At(i int) T { return q.ring.At(i) }
 // RemoveAt removes and returns the i-th element from the head.
 //
 //hmcsim:hotpath
-func (q *Queue[T]) RemoveAt(now Time, i int) T {
-	v := q.ring.At(i) // range-check before touching the stats
-	q.account(now)
-	q.ring.RemoveAt(i)
-	q.deq++
-	return v
-}
-
-//hmcsim:hotpath
-func (q *Queue[T]) account(now Time) {
-	if !q.statsInit {
-		q.statsInit = true
-		q.lastT = now
-		return
-	}
-	if now > q.lastT {
-		q.occArea += float64(q.ring.Len()) * float64(now-q.lastT)
-		q.lastT = now
-	}
-}
-
-// Enqueued returns the total number of accepted pushes.
-func (q *Queue[T]) Enqueued() uint64 { return q.enq }
-
-// Dequeued returns the total number of pops.
-func (q *Queue[T]) Dequeued() uint64 { return q.deq }
-
-// MaxOccupancy returns the high-water mark of the queue.
-func (q *Queue[T]) MaxOccupancy() int { return q.maxOcc }
-
-// MeanOccupancy returns the time-averaged occupancy observed between the
-// first accounted operation and now.
-func (q *Queue[T]) MeanOccupancy(now Time) float64 {
-	if !q.statsInit || now <= q.lastT {
-		if q.statsInit && q.lastT > 0 {
-			return q.occArea / float64(q.lastT)
-		}
-		return 0
-	}
-	area := q.occArea + float64(q.ring.Len())*float64(now-q.lastT)
-	return area / float64(now)
-}
+func (q *Queue[T]) RemoveAt(i int) T { return q.ring.RemoveAt(i) }
 
 // Waiters is a list of parked callbacks with an allocation-free
 // fire-and-re-register cycle: Fire drains the current registrations and

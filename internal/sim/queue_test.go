@@ -8,20 +8,20 @@ import (
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue[int](4)
 	for i := 0; i < 4; i++ {
-		if !q.Push(0, i) {
+		if !q.Push(i) {
 			t.Fatalf("push %d rejected below capacity", i)
 		}
 	}
-	if q.Push(0, 99) {
+	if q.Push(99) {
 		t.Fatal("push accepted above capacity")
 	}
 	for i := 0; i < 4; i++ {
-		v, ok := q.Pop(0)
+		v, ok := q.Pop()
 		if !ok || v != i {
 			t.Fatalf("pop = %d,%v want %d,true", v, ok, i)
 		}
 	}
-	if _, ok := q.Pop(0); ok {
+	if _, ok := q.Pop(); ok {
 		t.Fatal("pop from empty queue succeeded")
 	}
 }
@@ -29,7 +29,7 @@ func TestQueueFIFO(t *testing.T) {
 func TestQueueUnbounded(t *testing.T) {
 	q := NewQueue[int](0)
 	for i := 0; i < 10000; i++ {
-		if !q.Push(0, i) {
+		if !q.Push(i) {
 			t.Fatalf("unbounded queue rejected push %d", i)
 		}
 	}
@@ -40,38 +40,20 @@ func TestQueueUnbounded(t *testing.T) {
 
 func TestQueuePeekAndRemoveAt(t *testing.T) {
 	q := NewQueue[string](0)
-	q.Push(0, "a")
-	q.Push(0, "b")
-	q.Push(0, "c")
+	q.Push("a")
+	q.Push("b")
+	q.Push("c")
 	if v, ok := q.Peek(); !ok || v != "a" {
 		t.Fatalf("peek = %q, want a", v)
 	}
-	if v := q.RemoveAt(0, 1); v != "b" {
+	if v := q.RemoveAt(1); v != "b" {
 		t.Fatalf("RemoveAt(1) = %q, want b", v)
 	}
-	if v, _ := q.Pop(0); v != "a" {
+	if v, _ := q.Pop(); v != "a" {
 		t.Fatalf("pop = %q, want a", v)
 	}
-	if v, _ := q.Pop(0); v != "c" {
+	if v, _ := q.Pop(); v != "c" {
 		t.Fatalf("pop = %q, want c", v)
-	}
-}
-
-func TestQueueStats(t *testing.T) {
-	q := NewQueue[int](0)
-	q.Push(0, 1)
-	q.Push(0, 2)
-	q.Pop(100)
-	q.Pop(200)
-	if q.Enqueued() != 2 || q.Dequeued() != 2 {
-		t.Fatalf("enq/deq = %d/%d, want 2/2", q.Enqueued(), q.Dequeued())
-	}
-	if q.MaxOccupancy() != 2 {
-		t.Fatalf("max occupancy = %d, want 2", q.MaxOccupancy())
-	}
-	// Occupancy was 2 over [0,100), 1 over [100,200): mean at t=200 is 1.5.
-	if got := q.MeanOccupancy(200); got != 1.5 {
-		t.Fatalf("mean occupancy = %v, want 1.5", got)
 	}
 }
 
@@ -85,13 +67,13 @@ func TestQueueConservation(t *testing.T) {
 		wantHead := 0
 		for _, isPush := range ops {
 			if isPush {
-				if q.Push(0, next) {
+				if q.Push(next) {
 					next++
 				} else if capacity == 0 || q.Len() != capacity {
 					return false // rejected push while not full
 				}
 			} else {
-				v, ok := q.Pop(0)
+				v, ok := q.Pop()
 				if ok {
 					if v != wantHead {
 						return false // FIFO violated

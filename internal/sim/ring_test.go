@@ -115,101 +115,61 @@ func TestRingPanics(t *testing.T) {
 }
 
 // sliceQueue is the pre-ring Queue implementation (slice shifting on
-// every dequeue), kept verbatim as the reference model: the ring-backed
-// Queue must report exactly the same values and statistics for any
-// operation sequence.
+// every dequeue), kept as the reference model: the ring-backed Queue must
+// return exactly the same values, in the same order, for any operation
+// sequence.
 type sliceQueue struct {
 	items    []int
 	capacity int
-
-	enq, deq  uint64
-	maxOcc    int
-	occArea   float64
-	lastT     Time
-	statsInit bool
 }
 
 func (q *sliceQueue) full() bool { return q.capacity > 0 && len(q.items) >= q.capacity }
 
-func (q *sliceQueue) push(now Time, v int) bool {
+func (q *sliceQueue) push(v int) bool {
 	if q.full() {
 		return false
 	}
-	q.account(now)
 	q.items = append(q.items, v)
-	q.enq++
-	if len(q.items) > q.maxOcc {
-		q.maxOcc = len(q.items)
-	}
 	return true
 }
 
-func (q *sliceQueue) pop(now Time) (int, bool) {
+func (q *sliceQueue) pop() (int, bool) {
 	if len(q.items) == 0 {
 		return 0, false
 	}
-	q.account(now)
 	v := q.items[0]
 	copy(q.items, q.items[1:])
 	q.items = q.items[:len(q.items)-1]
-	q.deq++
 	return v, true
 }
 
-func (q *sliceQueue) removeAt(now Time, i int) int {
+func (q *sliceQueue) removeAt(i int) int {
 	v := q.items[i]
-	q.account(now)
 	copy(q.items[i:], q.items[i+1:])
 	q.items = q.items[:len(q.items)-1]
-	q.deq++
 	return v
-}
-
-func (q *sliceQueue) account(now Time) {
-	if !q.statsInit {
-		q.statsInit = true
-		q.lastT = now
-		return
-	}
-	if now > q.lastT {
-		q.occArea += float64(len(q.items)) * float64(now-q.lastT)
-		q.lastT = now
-	}
-}
-
-func (q *sliceQueue) meanOccupancy(now Time) float64 {
-	if !q.statsInit || now <= q.lastT {
-		if q.statsInit && q.lastT > 0 {
-			return q.occArea / float64(q.lastT)
-		}
-		return 0
-	}
-	area := q.occArea + float64(len(q.items))*float64(now-q.lastT)
-	return area / float64(now)
 }
 
 // TestQueueMatchesSliceReference drives the ring-backed Queue and the
 // slice-based reference through a long pseudo-random interleaving of
 // Push/Pop/RemoveAt — spanning many wrap points — and demands identical
-// results, element order, and statistics at every step.
+// results and element order at every step.
 func TestQueueMatchesSliceReference(t *testing.T) {
 	for _, capacity := range []int{0, 7} {
 		q := NewQueue[int](capacity)
 		ref := &sliceQueue{capacity: capacity}
 		rng := NewRand(42)
-		now := Time(0)
 		for step := 0; step < 5000; step++ {
-			now += Time(rng.Intn(50)) // occasionally zero: same-time ops
 			switch op := rng.Intn(10); {
 			case op < 5: // push
 				v := int(rng.Uint64() % 1000)
-				got, want := q.Push(now, v), ref.push(now, v)
+				got, want := q.Push(v), ref.push(v)
 				if got != want {
 					t.Fatalf("step %d: Push accepted=%v, reference %v", step, got, want)
 				}
 			case op < 8: // pop
-				gv, gok := q.Pop(now)
-				wv, wok := ref.pop(now)
+				gv, gok := q.Pop()
+				wv, wok := ref.pop()
 				if gv != wv || gok != wok {
 					t.Fatalf("step %d: Pop = %d,%v, reference %d,%v", step, gv, gok, wv, wok)
 				}
@@ -218,7 +178,7 @@ func TestQueueMatchesSliceReference(t *testing.T) {
 					continue
 				}
 				i := rng.Intn(q.Len())
-				gv, wv := q.RemoveAt(now, i), ref.removeAt(now, i)
+				gv, wv := q.RemoveAt(i), ref.removeAt(i)
 				if gv != wv {
 					t.Fatalf("step %d: RemoveAt(%d) = %d, reference %d", step, i, gv, wv)
 				}
@@ -230,16 +190,6 @@ func TestQueueMatchesSliceReference(t *testing.T) {
 				if got := q.At(i); got != w {
 					t.Fatalf("step %d: At(%d) = %d, reference %d", step, i, got, w)
 				}
-			}
-			if q.Enqueued() != ref.enq || q.Dequeued() != ref.deq {
-				t.Fatalf("step %d: enq/deq = %d/%d, reference %d/%d",
-					step, q.Enqueued(), q.Dequeued(), ref.enq, ref.deq)
-			}
-			if q.MaxOccupancy() != ref.maxOcc {
-				t.Fatalf("step %d: MaxOccupancy = %d, reference %d", step, q.MaxOccupancy(), ref.maxOcc)
-			}
-			if got, want := q.MeanOccupancy(now), ref.meanOccupancy(now); got != want {
-				t.Fatalf("step %d: MeanOccupancy = %v, reference %v", step, got, want)
 			}
 		}
 	}

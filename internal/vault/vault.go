@@ -84,17 +84,17 @@ type Vault struct {
 
 	banks    []*dram.Bank
 	recvQ    *sim.Queue[*packet.Transaction]
+	inRecv   []int // inRecv[b] counts recvQ's requests for bank b
 	queues   []*sim.Queue[*packet.Transaction]
 	bankBusy []bool
 
 	tsv       *sim.Server
 	tsvTokens *sim.TokenPool
 
-	out           *sim.Queue[*packet.Transaction]
-	pumping       bool
-	dispatching   bool
-	dispatchAgain bool
-	acceptWait    sim.Waiters
+	out         *sim.Queue[*packet.Transaction]
+	pumping     bool
+	dispatching bool
+	acceptWait  sim.Waiters
 
 	// Pre-bound callbacks and in-flight rings: each pipeline stage fires
 	// in a deterministic FIFO order (monotone per-bank data completions,
@@ -137,6 +137,7 @@ func New(eng *sim.Engine, cfg Config, resp RespOutlet) *Vault {
 		resp:      resp,
 		banks:     make([]*dram.Bank, cfg.Banks),
 		recvQ:     sim.NewQueue[*packet.Transaction](cfg.RecvQueueDepth),
+		inRecv:    make([]int, cfg.Banks),
 		queues:    make([]*sim.Queue[*packet.Transaction], cfg.Banks),
 		bankBusy:  make([]bool, cfg.Banks),
 		tsv:       sim.NewServer(eng),
@@ -185,52 +186,56 @@ func (v *Vault) TryAccept(tr *packet.Transaction) bool {
 	}
 	now := v.eng.Now()
 	// Fast path: move straight into the bank queue when possible.
-	if v.recvQ.Empty() && v.queues[tr.Bank].Push(now, tr) {
+	if v.recvQ.Empty() && v.queues[tr.Bank].Push(tr) {
 		v.nq++
 		tr.TVaultIn = now
 		v.trace.OnAccept(v.nq)
 		v.kickBank(tr.Bank)
 		return true
 	}
-	if !v.recvQ.Push(now, tr) {
+	if !v.recvQ.Push(tr) {
 		v.trace.OnReject()
 		return false
 	}
+	v.inRecv[tr.Bank]++
 	tr.TVaultIn = now
 	v.trace.OnAccept(v.nq + v.recvQ.Len())
-	v.dispatch()
+	v.dispatch(tr.Bank)
 	return true
 }
 
-// dispatch moves requests from the input buffer into bank queues,
-// skipping over requests whose bank is full (out-of-order across banks,
-// in-order within a bank because the scan preserves arrival order per
-// bank). Re-entrant calls — kickBank frees a slot mid-scan — are deferred
-// to another pass rather than recursing into the live scan.
-func (v *Vault) dispatch() {
-	if v.dispatching {
-		v.dispatchAgain = true
+// dispatch moves bank b's requests from the input buffer into its bank
+// queue, oldest first, while the queue has room. Requests for other banks
+// stay put: out of order across banks, in order within a bank.
+//
+// Looking at bank b alone is exact because, between calls, every buffered
+// request's bank queue is full. Bank queues lose requests only in
+// kickBank, which dispatches that bank, and the fast path in TryAccept
+// runs only when the buffer is empty, so the only bank that can have room
+// is the one whose queue just shrank (kickBank) or whose request just
+// arrived (TryAccept). A move's own kickBank(b) may issue and free a slot;
+// its re-entrant call returns at once, and this loop sees the slot.
+func (v *Vault) dispatch(b int) {
+	if v.dispatching || v.inRecv[b] == 0 {
 		return
 	}
 	v.dispatching = true
-	now := v.eng.Now()
+	q := v.queues[b]
 	moved := false
-	for {
-		v.dispatchAgain = false
-		for i := 0; i < v.recvQ.Len(); {
-			tr := v.recvQ.At(i)
-			if v.queues[tr.Bank].Push(now, tr) {
-				v.nq++
-				v.recvQ.RemoveAt(now, i)
-				v.kickBank(tr.Bank)
-				moved = true
-				continue // same index now holds the next element
-			}
+	// inRecv[b] > 0 keeps a bank-b request at or past i: every request
+	// before i is for another bank.
+	for i := 0; v.inRecv[b] > 0 && !q.Full(); {
+		tr := v.recvQ.At(i)
+		if tr.Bank != b {
 			i++
+			continue
 		}
-		if !v.dispatchAgain {
-			break
-		}
+		q.Push(tr)
+		v.nq++
+		v.recvQ.RemoveAt(i)
+		v.inRecv[b]--
+		v.kickBank(b)
+		moved = true
 	}
 	v.dispatching = false
 	if moved {
@@ -255,10 +260,10 @@ func (v *Vault) kickBank(b int) {
 		return
 	}
 	now := v.eng.Now()
-	tr, _ := v.queues[b].Pop(now)
+	tr, _ := v.queues[b].Pop()
 	v.nq--
 	v.bankBusy[b] = true
-	v.dispatch()
+	v.dispatch(b)
 
 	tr.TIssued = now
 	if tr.Write {
@@ -300,7 +305,7 @@ func (v *Vault) tsvDone() {
 // latency is constant, so completions stay in FIFO order.
 func (v *Vault) ctrlDone() {
 	tr := v.ctrlQ.Pop()
-	v.out.Push(v.eng.Now(), tr)
+	v.out.Push(tr)
 	v.pumpOut()
 }
 
@@ -320,7 +325,7 @@ func (v *Vault) pumpOut() {
 			v.resp.NotifyOut(tr, v.pumpFn)
 			return
 		}
-		v.out.Pop(v.eng.Now())
+		v.out.Pop()
 		tr.TVaultOut = v.eng.Now()
 	}
 }
