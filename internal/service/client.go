@@ -219,8 +219,8 @@ func (c *Client) Run(ctx context.Context, spec hmcsim.Spec, interval time.Durati
 
 // streamClient returns an HTTP client for long-lived streams: the
 // configured client's transport without its overall Timeout, which
-// would kill a progress stream mid-simulation. Stream lifetime is
-// governed by the request context instead.
+// would kill a progress stream mid-simulation. WatchJob bounds the
+// stream's idle time instead.
 func (c *Client) streamClient() *http.Client {
 	base := c.httpClient()
 	return &http.Client{
@@ -237,18 +237,33 @@ const maxStreamLineBytes = 1 << 20
 // WatchJob subscribes to GET /v1/jobs/{id}/progress and invokes fn for
 // every event, the terminal one included. Once the stream reports a
 // terminal state it fetches and returns the job's full view (the
-// stream itself carries only progress counters). An error leaves the
-// job running; callers wanting resilience fall back to Wait.
+// stream itself carries only progress counters). The daemon pings an
+// idle stream every sseKeepAlive, so a stream that delivers no line
+// for twice that long has stalled and fails. An error leaves the job
+// running; callers wanting resilience fall back to Wait.
 func (c *Client) WatchJob(ctx context.Context, id string, fn func(JobProgress)) (JobView, error) {
 	path := "/v1/jobs/" + id + "/progress"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(c.Base, "/")+path, nil)
+	idle := 2 * sseKeepAlive
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stall := time.AfterFunc(idle, cancel)
+	defer stall.Stop()
+	// stalled turns the stream's own cancellation into an error that
+	// says why; the caller's cancellation passes through as it is.
+	stalled := func(err error) error {
+		if ctx.Err() == nil && sctx.Err() != nil {
+			return fmt.Errorf("GET %s: no event or keep-alive for %v", path, idle)
+		}
+		return err
+	}
+	req, err := http.NewRequestWithContext(sctx, http.MethodGet, strings.TrimSuffix(c.Base, "/")+path, nil)
 	if err != nil {
 		return JobView{}, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
 	resp, err := c.streamClient().Do(req)
 	if err != nil {
-		return JobView{}, err
+		return JobView{}, stalled(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
@@ -264,6 +279,7 @@ func (c *Client) WatchJob(ctx context.Context, id string, fn func(JobProgress)) 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 4096), maxStreamLineBytes)
 	for sc.Scan() {
+		stall.Reset(idle)
 		line := sc.Text()
 		if !strings.HasPrefix(line, "data: ") {
 			continue // comments, blank event separators
@@ -276,11 +292,12 @@ func (c *Client) WatchJob(ctx context.Context, id string, fn func(JobProgress)) 
 			fn(p)
 		}
 		if p.State.Terminal() {
+			stall.Stop()
 			return c.Job(ctx, id)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return JobView{}, err
+		return JobView{}, stalled(err)
 	}
 	return JobView{}, fmt.Errorf("GET %s: stream ended without a terminal event: %w", path, io.ErrUnexpectedEOF)
 }

@@ -436,12 +436,12 @@ func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 // daemon is merely saturated. Queue-full admissions (identified by the
 // server's machine-readable error code, not its prose) hand the work
 // back and wait a poll interval — all-or-nothing admission means
-// nothing was created. Any other 503 — most importantly a
-// shutting-down daemon, but also an intermediary's rewritten 503 — is
-// treated as a dead daemon so its shard fails over instead of bouncing
-// forever. Other API errors are fatal (a bad spec stays bad on every
-// daemon), and anything else is a connection failure that kills the
-// daemon and fails its batch over.
+// nothing was created. Any other 5xx — a shutting-down daemon, or an
+// intermediary's 500, 502, 503 or 504 — is treated as a dead daemon so
+// its shard fails over instead of bouncing forever. Other 4xx errors
+// are fatal (a bad spec stays bad on every daemon), and anything else
+// is a connection failure that kills the daemon and fails its batch
+// over.
 func (r *fleetRun) submitFailed(ctx context.Context, c *Client, batch []fleetItem, err error, die func(error)) (saturated bool) {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
@@ -459,22 +459,22 @@ func (r *fleetRun) submitFailed(ctx context.Context, c *Client, batch []fleetIte
 			case <-r.done:
 			}
 			return true
-		case apiErr.Status == http.StatusServiceUnavailable,
+		case apiErr.Status >= 500,
 			apiErr.Status == http.StatusNotFound,
-			apiErr.Status == http.StatusMethodNotAllowed,
-			apiErr.Status == http.StatusNotImplemented:
+			apiErr.Status == http.StatusMethodNotAllowed:
 			// A daemon-level refusal, not a spec problem: shutting down,
-			// an intermediary's rewritten 503, or a daemon that does not
-			// speak /v1/batch at all (an older build mid-rolling-upgrade,
-			// a proxy rejecting the path). Its shard fails over; peers
-			// may well serve it.
+			// a crashed daemon behind an intermediary (which is the only
+			// source of a 500, 502 or 504; the daemon never sends them),
+			// or a daemon that does not speak /v1/batch at all (an older
+			// build mid-rolling-upgrade, a proxy rejecting the path). Its
+			// shard fails over; peers may well serve it.
 			for _, it := range batch {
 				r.requeue(it, c, err)
 			}
 			die(err)
 			return false
 		}
-		// Remaining API errors (400 validation, ...) are properties of
+		// Remaining 4xx errors (400 validation, ...) are properties of
 		// the specs themselves: a bad spec stays bad on every daemon.
 		r.fail(err)
 		return false

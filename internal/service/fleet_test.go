@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -272,33 +273,38 @@ func TestFleetRetriesExhausted(t *testing.T) {
 
 // TestFleetFailsOverDaemonWithoutBatchEndpoint: a daemon that 404s
 // /v1/batch (an older build mid-rolling-upgrade, a proxy rejecting the
-// path) is that daemon's problem, not the specs' — its shard moves to
-// a peer instead of aborting the run.
+// path), or an intermediary answering 500, 502 or 504 for a crashed
+// daemon, is that daemon's problem, not the specs' — its shard moves
+// to a peer instead of aborting the run.
 func TestFleetFailsOverDaemonWithoutBatchEndpoint(t *testing.T) {
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/experiments" {
-			json.NewEncoder(w).Encode([]ExperimentView{{Name: "e", Title: "fake"}}) //nolint:errcheck
-			return
-		}
-		http.NotFound(w, r) // no /v1/batch route
-	}))
-	t.Cleanup(old.Close)
+	for _, status := range []int{http.StatusNotFound, http.StatusInternalServerError, http.StatusBadGateway, http.StatusGatewayTimeout} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/experiments" {
+					json.NewEncoder(w).Encode([]ExperimentView{{Name: "e", Title: "fake"}}) //nolint:errcheck
+					return
+				}
+				http.Error(w, http.StatusText(status), status) // no /v1/batch route
+			}))
+			t.Cleanup(old.Close)
 
-	_, goodClient := newFleetDaemon(t, Config{Workers: 2}, newFake("e"))
-	f := &Fleet{
-		Clients:      []*Client{{Base: old.URL, HTTP: old.Client()}, goodClient},
-		PollInterval: 5 * time.Millisecond,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	views, err := f.Run(ctx, seedSpecs("e", 4))
-	if err != nil {
-		t.Fatalf("404 on /v1/batch aborted the run instead of failing over: %v", err)
-	}
-	for i, v := range views {
-		if v.State != StateDone {
-			t.Fatalf("view %d state %s", i, v.State)
-		}
+			_, goodClient := newFleetDaemon(t, Config{Workers: 2}, newFake("e"))
+			f := &Fleet{
+				Clients:      []*Client{{Base: old.URL, HTTP: old.Client()}, goodClient},
+				PollInterval: 5 * time.Millisecond,
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			views, err := f.Run(ctx, seedSpecs("e", 4))
+			if err != nil {
+				t.Fatalf("%d on /v1/batch aborted the run instead of failing over: %v", status, err)
+			}
+			for i, v := range views {
+				if v.State != StateDone {
+					t.Fatalf("view %d state %s", i, v.State)
+				}
+			}
+		})
 	}
 }
 
