@@ -6,11 +6,12 @@
 //
 // With -server the same commands run against one or more hmcsimd
 // daemons instead of simulating locally: specs are submitted in batches
-// and polled until done, so repeated runs of the same spec come back
-// instantly from the daemon's result cache. A comma-separated -server
-// list shards the experiments across the daemons, keeps each daemon's
-// worker pool full, and fails a dead daemon's unfinished work over to
-// its peers; results print in submission order either way.
+// and each job's progress stream is watched until it is done, so
+// repeated runs of the same spec come back instantly from the daemon's
+// result cache. A comma-separated -server list shards the experiments
+// across the daemons, keeps each daemon's worker pool full, and fails a
+// dead daemon's unfinished work over to its peers; results print in
+// submission order either way.
 //
 // Usage:
 //
@@ -33,7 +34,7 @@
 // stage breakdown (received, queued, cache-check, running, marshal,
 // done) from its daemon and prints the per-job spans plus a per-daemon
 // aggregate after the results; every job in the run shares one trace
-// ID, also usable to correlate the daemons' /v1/flight records.
+// ID, also usable to correlate the daemons' job log records.
 package main
 
 import (
@@ -162,7 +163,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// Tracers change what the simulation records, not what it
 			// computes, but they are not part of the spec — a daemon job
 			// would silently ignore the flag, so reject it instead.
-			fmt.Fprintln(stderr, "hmcsim: -trace is local-only; daemons expose aggregate metrics at /metrics instead")
+			fmt.Fprintln(stderr, "hmcsim: -trace is local-only; daemons expose aggregate statistics at /v1/stats instead")
 			return 2
 		}
 		if *timeline != "" {
@@ -344,7 +345,7 @@ func runRemote(ctx context.Context, fleet *service.Fleet, names []string, o exp.
 	var spanReports []spanReport
 	if spans {
 		// One trace ID for the whole run stamps every job it creates, so
-		// the daemons' span views and flight records correlate back to
+		// the daemons' span views and job log records correlate back to
 		// this invocation. OnSpans calls are serialized by the fleet.
 		fleet.TraceID = service.NewTraceID()
 		fleet.OnSpans = func(daemon string, spec hmcsim.Spec, sv service.SpanView) {

@@ -7,12 +7,13 @@
 // Usage:
 //
 //	hmcsimd [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	        [-flight N] [-slowjob 10s] [-log-format text|json]
+//	        [-maxjobs N] [-pprof] [-log-format text|json]
 //
 // The daemon logs structured job-lifecycle records (admission and
-// completion, each carrying the submission's X-Hmcsim-Trace-Id) to
-// stderr; -log-format json switches them to one-JSON-object-per-line
-// for log shippers.
+// completion, each carrying the submission's X-Hmcsim-Trace-Id and the
+// completion its queue, run and total milliseconds) to stderr;
+// -log-format json switches them to one-JSON-object-per-line for log
+// shippers.
 //
 // Endpoints:
 //
@@ -28,17 +29,12 @@
 //	                       the job's lifecycle stage breakdown (received,
 //	                       queued, cache-check, running, marshal, done)
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
-//	GET    /v1/flight      flight recorder: the last -flight completed
-//	                       jobs with stage durations, worker and cache
-//	                       attribution, plus latency histograms
 //	GET    /v1/experiments registry listing
 //	GET    /v1/stats       queue, worker, job, cache, batch, inflight,
-//	                       uptime, version and per-worker statistics
+//	                       uptime, version and per-worker statistics,
+//	                       aggregate simulation headway, and queue-wait
+//	                       and end-to-end latency histograms
 //	GET    /v1/healthz     liveness probe
-//	GET    /metrics        Prometheus text exposition of the same
-//	                       counters, plus per-worker busy time,
-//	                       aggregate simulation headway, and queue-wait /
-//	                       end-to-end latency histograms
 //	GET    /debug/pprof/   runtime profiles (CPU, heap, ...; requires -pprof)
 //
 // With -pprof the endpoints profile the daemon under live load:
@@ -74,8 +70,6 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job bound; submissions beyond it get 503")
 	cache := flag.Int("cache", 256, "result-cache entries (LRU)")
 	maxJobs := flag.Int("maxjobs", 1024, "retained job records; oldest terminal records beyond this are dropped")
-	flight := flag.Int("flight", 0, "flight-recorder entries (last N completed jobs at /v1/flight); 0 = default 128")
-	slowJob := flag.Duration("slowjob", 0, "flag completed jobs slower than this in the flight recorder; 0 = default 10s, negative disables")
 	withPprof := flag.Bool("pprof", false, "serve /debug/pprof/ profiling endpoints (expose only on trusted addresses)")
 	logFormat := flag.String("log-format", "text", "structured log format on stderr: text or json")
 	flag.Parse()
@@ -93,13 +87,11 @@ func main() {
 	logger := slog.New(handler)
 
 	svc := service.New(service.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheEntries:  *cache,
-		MaxJobs:       *maxJobs,
-		FlightEntries: *flight,
-		SlowJob:       *slowJob,
-		Logger:        logger,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cache,
+		MaxJobs:      *maxJobs,
+		Logger:       logger,
 	}, exp.Runners())
 
 	// The service handler owns the API routes; with -pprof the profiling

@@ -26,15 +26,15 @@ type Client struct {
 	HTTP *http.Client
 	// TraceID, when set, is sent as the X-Hmcsim-Trace-Id header on
 	// every submission, correlating the jobs this client creates in
-	// span views and flight records.
+	// span views and the daemons' job log records.
 	TraceID string
 }
 
 // defaultHTTPClient bounds every request so a blackholed daemon — one
 // that accepts connections but never answers — surfaces as an error
 // that drives fleet failover instead of hanging the run. Individual
-// API calls are small and fast; long simulations are covered by
-// repeated polls, never by one long request.
+// API calls are small and fast; a long simulation is waited out on its
+// progress stream, whose idle time WatchJob bounds instead.
 var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 
 func (c *Client) httpClient() *http.Client {
@@ -174,49 +174,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 	return v, err
 }
 
-// Wait polls a job until it reaches a terminal state or ctx expires.
-func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (JobView, error) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		v, err := c.Job(ctx, id)
-		if err != nil {
-			return v, err
-		}
-		if v.State.Terminal() {
-			return v, nil
-		}
-		select {
-		case <-ctx.Done():
-			return v, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-// Run submits a spec and waits for its terminal view — the remote
-// equivalent of exp.Run. When ctx is cancelled mid-wait the daemon
-// would otherwise keep simulating an abandoned job on a worker, so Run
-// issues a best-effort cancellation over a short detached timeout
-// before returning; the returned view still carries the job's ID.
-func (c *Client) Run(ctx context.Context, spec hmcsim.Spec, interval time.Duration) (JobView, error) {
-	v, err := c.Submit(ctx, spec)
-	if err != nil || v.State.Terminal() {
-		return v, err
-	}
-	w, err := c.Wait(ctx, v.ID, interval)
-	if w.ID == "" {
-		w.ID = v.ID
-	}
-	if err != nil && ctx.Err() != nil && !w.State.Terminal() {
-		c.CancelOrphan(w.ID) //nolint:errcheck // best-effort; the caller is already unwinding
-	}
-	return w, err
-}
-
 // streamClient returns an HTTP client for long-lived streams: the
 // configured client's transport without its overall Timeout, which
 // would kill a progress stream mid-simulation. WatchJob bounds the
@@ -240,7 +197,7 @@ const maxStreamLineBytes = 1 << 20
 // stream itself carries only progress counters). The daemon pings an
 // idle stream every sseKeepAlive, so a stream that delivers no line
 // for twice that long has stalled and fails. An error leaves the job
-// running; callers wanting resilience fall back to Wait.
+// running; a caller abandoning it cancels it with CancelOrphan.
 func (c *Client) WatchJob(ctx context.Context, id string, fn func(JobProgress)) (JobView, error) {
 	path := "/v1/jobs/" + id + "/progress"
 	idle := 2 * sseKeepAlive
@@ -316,14 +273,6 @@ func (c *Client) CancelOrphan(id string) error {
 func (c *Client) Spans(ctx context.Context, id string) (SpanView, error) {
 	var v SpanView
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/spans", nil, &v)
-	return v, err
-}
-
-// Flight fetches the daemon's flight recorder: the last N completed
-// job records with their stage durations and latency histograms.
-func (c *Client) Flight(ctx context.Context) (FlightView, error) {
-	var v FlightView
-	err := c.doCapped(ctx, http.MethodGet, "/v1/flight", nil, &v, maxViewBytes)
 	return v, err
 }
 

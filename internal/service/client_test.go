@@ -5,11 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
-
-	"hmcsim"
 )
 
 // TestClientResponseBounded: the client caps how much of a response it
@@ -26,55 +22,5 @@ func TestClientResponseBounded(t *testing.T) {
 	_, err := c.Job(context.Background(), "j000001")
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized response: err = %v, want body-bound error", err)
-	}
-}
-
-// TestClientRunCancelsOrphanedJob is the cancellation-leak regression
-// test: a caller whose context dies mid-Wait must not leave its job
-// running on a daemon worker — Client.Run issues a best-effort detached
-// DELETE before returning.
-func TestClientRunCancelsOrphanedJob(t *testing.T) {
-	blocker := newBlockingFake("slow")
-	s := New(Config{Workers: 1}, []hmcsim.Runner{blocker})
-	// Observe the first status poll, proving Run has read the submit
-	// response (and so holds the job ID) before the cancellation.
-	polled := make(chan struct{})
-	var pollOnce sync.Once
-	handler := s.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
-			pollOnce.Do(func() { close(polled) })
-		}
-		handler.ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() { ts.Close(); s.Close() })
-	c := &Client{Base: ts.URL, HTTP: ts.Client()}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-blocker.started // the job is running on the daemon
-		<-polled          // Run is in its polling loop
-		cancel()          // the caller walks away
-	}()
-	v, err := c.Run(ctx, hmcsim.Spec{Exp: "slow"}, 5*time.Millisecond)
-	if err == nil {
-		t.Fatal("Run succeeded despite cancellation")
-	}
-	if v.ID == "" {
-		t.Fatal("Run lost the job ID on the cancellation path")
-	}
-	j, ok := s.Job(v.ID)
-	if !ok {
-		t.Fatalf("daemon lost job %s", v.ID)
-	}
-	// Without the orphan cancel the blocker would hold its worker until
-	// server shutdown; with it, the job terminates canceled.
-	select {
-	case <-j.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("orphaned job never terminated: the daemon worker is leaked")
-	}
-	if st := j.View().State; st != StateCanceled {
-		t.Fatalf("orphaned job state %s, want canceled", st)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -18,11 +17,11 @@ import (
 // identical spec keys before submission, shards the unique specs over
 // the daemons via a shared work queue, keeps a bounded number of jobs
 // in flight per daemon (submitted in /v1/batch posts so a daemon's
-// whole worker pool fills in one round-trip), polls terminal states
-// concurrently, and fails a daemon's unfinished shard over to its peers
-// on connection errors with bounded retries. Results reassemble in
-// submission order, so a fleet run of `-exp all` is byte-identical to
-// the sequential remote path — and to a local run, since daemon workers
+// whole worker pool fills in one round-trip), waits for each job on
+// its progress stream (Client.WatchJob), and fails a daemon's
+// unfinished shard over to its peers on connection errors with bounded
+// retries. Results reassemble in submission order, so a fleet run of
+// `-exp all` is byte-identical to a local run, since daemon workers
 // execute single-threaded deterministic engines.
 //
 // Fleet implements hmcsim.SpecRunner, so a hmcsim.RemoteRunner can farm
@@ -32,32 +31,22 @@ type Fleet struct {
 	Clients []*Client
 	// MaxInflight bounds jobs in flight per daemon; <= 0 means 4.
 	MaxInflight int
-	// PollInterval is the per-job status polling cadence; <= 0 means
-	// 100ms.
-	PollInterval time.Duration
 	// Retries bounds how many times one spec is resubmitted after a
 	// daemon failure before the whole run fails; <= 0 means 2.
 	Retries int
 	// Logf, when set, receives human-readable progress lines: daemon
-	// failover and orphan-cancellation notices. nil discards them.
-	// Calls are serialized, so the callback may write to a shared
-	// writer without its own locking.
+	// failover, orphan-cancellation and span-fetch notices. nil
+	// discards them. Calls are serialized, so the callback may write to
+	// a shared writer without its own locking.
 	Logf func(format string, args ...any)
-	// Logger, when set, receives the same fleet events as structured
-	// records, each stamped with the run's trace ID so they correlate
-	// with the daemons' own job-lifecycle logs. nil disables; it is
-	// independent of Logf, so either or both may be wired.
-	Logger *slog.Logger
 	// OnDone, when set, is called as each unique spec reaches a
 	// successful terminal view — completion order, not submission
 	// order — so long batched runs can report progress while Run
 	// assembles the ordered results. Calls are serialized with Logf.
 	OnDone func(spec hmcsim.Spec, view JobView)
 	// OnProgress, when set, receives each in-flight job's live progress
-	// events (sweep points done, simulation headway), streamed over SSE
-	// instead of the plain status poll; if a daemon or intermediary
-	// cannot stream, that job falls back to polling silently. Calls are
-	// serialized with Logf and OnDone.
+	// events (sweep points done, simulation headway) from the stream the
+	// fleet waits on. Calls are serialized with Logf and OnDone.
 	OnProgress func(spec hmcsim.Spec, p JobProgress)
 	// TraceID, when set, is propagated on every submission the fleet
 	// makes (via the X-Hmcsim-Trace-Id header) so daemons stamp it on
@@ -70,8 +59,8 @@ type Fleet struct {
 	// OnDone and OnProgress.
 	OnSpans func(daemon string, spec hmcsim.Spec, sv SpanView)
 
-	// logMu serializes Logf/OnDone calls from concurrent
-	// dispatchers/pollers.
+	// logMu serializes the callbacks from concurrent dispatchers and
+	// watchers.
 	logMu sync.Mutex
 }
 
@@ -92,13 +81,6 @@ func (f *Fleet) maxInflight() int {
 		return f.MaxInflight
 	}
 	return 4
-}
-
-func (f *Fleet) pollInterval() time.Duration {
-	if f.PollInterval > 0 {
-		return f.PollInterval
-	}
-	return 100 * time.Millisecond
 }
 
 func (f *Fleet) retries() int {
@@ -223,7 +205,7 @@ func (f *Fleet) Run(ctx context.Context, specs []hmcsim.Spec) ([]JobView, error)
 	}
 
 	// Daemons share ctx2; cancelling it (fatal error or caller
-	// cancellation) makes every dispatcher drain its pollers and exit.
+	// cancellation) makes every dispatcher drain its watchers and exit.
 	ctx2, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -260,16 +242,6 @@ func (f *Fleet) Run(ctx context.Context, specs []hmcsim.Spec) ([]JobView, error)
 		wg.Wait() // dispatchers cancel their in-flight remote jobs first
 		return nil, ctx.Err()
 	}
-}
-
-// logEvent emits one structured fleet event through the Fleet's Logger,
-// stamping the run's trace ID so fleet-side records line up with the
-// daemons' job-lifecycle logs. No-op without a Logger.
-func (r *fleetRun) logEvent(msg string, args ...any) {
-	if r.f.Logger == nil {
-		return
-	}
-	r.f.Logger.Info(msg, append([]any{"traceId", r.traceID}, args...)...)
 }
 
 // finish records one unique spec's terminal view.
@@ -312,14 +284,13 @@ func (r *fleetRun) requeue(it fleetItem, c *Client, cause error) {
 // with work still outstanding, the run cannot make progress.
 func (r *fleetRun) daemonDied(c *Client, cause error) {
 	r.f.logf("daemon %s failed over: %v", c.Base, cause)
-	r.logEvent("daemon failover", "daemon", c.Base, "error", fmt.Sprint(cause))
 	if r.live.Add(-1) == 0 && r.remaining.Load() > 0 {
 		r.fail(fmt.Errorf("all daemons unreachable (last: %s): %w", c.Base, cause))
 	}
 }
 
-// pollResult is one poller goroutine's report back to its dispatcher.
-type pollResult struct {
+// watchResult is one watcher goroutine's report back to its dispatcher.
+type watchResult struct {
 	it   fleetItem
 	view JobView
 	err  error
@@ -327,8 +298,8 @@ type pollResult struct {
 
 // daemon dispatches work to one daemon: it gathers up to its free
 // in-flight capacity from the shared queue, submits the gathered specs
-// as one batch, and hands each queued job to a poller goroutine. A
-// connection error — on submit or poll — kills the daemon for the rest
+// as one batch, and hands each queued job to a watcher goroutine. A
+// connection error — on submit or watch — kills the daemon for the rest
 // of the run: its unfinished items requeue for the surviving peers.
 func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 	maxIn := r.f.maxInflight()
@@ -336,7 +307,7 @@ func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 	// so concurrent runs over shared clients never race on the field.
 	submitC := *c
 	submitC.TraceID = r.traceID
-	resc := make(chan pollResult, maxIn) // buffered: pollers never block
+	resc := make(chan watchResult, maxIn) // buffered: watchers never block
 	inflight := 0
 	// batchCap shrinks after a queue-full rejection so a daemon with a
 	// tiny (or mostly-occupied) queue still makes progress one spec at a
@@ -369,7 +340,7 @@ func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 		}
 		select {
 		case <-ctxDone:
-			die(nil)      // drain pollers, then exit without failover
+			die(nil)      // drain watchers, then exit without failover
 			ctxDone = nil // fire once; keep selecting on resc
 		case <-r.done:
 			return
@@ -422,20 +393,24 @@ func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 			batchCap = maxIn
 			for i, v := range views {
 				if v.State.Terminal() {
-					r.settle(ctx, c, pollResult{it: batch[i], view: v}, die)
+					r.settle(ctx, c, watchResult{it: batch[i], view: v}, die)
 					continue
 				}
 				inflight++
-				go r.poll(ctx, c, batch[i], v.ID, resc)
+				go r.watch(ctx, c, batch[i], v.ID, resc)
 			}
 		}
 	}
 }
 
+// saturatedBackoff is how long a dispatcher waits before resubmitting
+// to a daemon whose queue was full.
+const saturatedBackoff = 100 * time.Millisecond
+
 // submitFailed sorts a batch-submission error and reports whether the
 // daemon is merely saturated. Queue-full admissions (identified by the
 // server's machine-readable error code, not its prose) hand the work
-// back and wait a poll interval — all-or-nothing admission means
+// back and wait saturatedBackoff — all-or-nothing admission means
 // nothing was created. Any other 5xx — a shutting-down daemon, or an
 // intermediary's 500, 502, 503 or 504 — is treated as a dead daemon so
 // its shard fails over instead of bouncing forever. Other 4xx errors
@@ -454,7 +429,7 @@ func (r *fleetRun) submitFailed(ctx context.Context, c *Client, batch []fleetIte
 				r.pending <- it
 			}
 			select {
-			case <-time.After(r.f.pollInterval()):
+			case <-time.After(saturatedBackoff):
 			case <-ctx.Done():
 			case <-r.done:
 			}
@@ -482,7 +457,7 @@ func (r *fleetRun) submitFailed(ctx context.Context, c *Client, batch []fleetIte
 	if ctx.Err() != nil {
 		// Caller cancellation, not a daemon failure. Whatever the daemon
 		// admitted before the cancellation raced in is unknown — orphan
-		// cleanup is the poller's job for known IDs only.
+		// cleanup is the watcher's job for known IDs only.
 		die(nil)
 		return false
 	}
@@ -506,26 +481,25 @@ func (r *fleetRun) submitFailed(ctx context.Context, c *Client, batch []fleetIte
 	return false
 }
 
-// settle sorts one terminal (or failed-to-poll) job outcome.
-func (r *fleetRun) settle(ctx context.Context, c *Client, pr pollResult, die func(error)) {
+// settle sorts one terminal (or failed-to-watch) job outcome.
+func (r *fleetRun) settle(ctx context.Context, c *Client, pr watchResult, die func(error)) {
 	if pr.err != nil {
 		if ctx.Err() != nil {
-			die(nil) // cancelled mid-poll; the poller already cancelled the orphan
+			die(nil) // cancelled mid-watch; the watcher already cancelled the orphan
 			return
 		}
 		if errors.Is(pr.err, ErrResponseTooLarge) {
 			r.fail(pr.err) // deterministic payload size; failover cannot help
 			return
 		}
-		var apiErr *APIError
-		if errors.As(pr.err, &apiErr) {
-			// The daemon answered but unhelpfully (e.g. the job record
-			// was pruned): resubmitting elsewhere is the only recovery.
-			r.requeue(pr.it, c, pr.err)
-			return
-		}
+		// Resubmitting elsewhere is the only recovery. A daemon that
+		// answered, if unhelpfully (e.g. the job record was pruned),
+		// stays alive; one that did not is dead to this run.
 		r.requeue(pr.it, c, pr.err)
-		die(pr.err)
+		var apiErr *APIError
+		if !errors.As(pr.err, &apiErr) {
+			die(pr.err)
+		}
 		return
 	}
 	switch pr.view.State {
@@ -552,7 +526,7 @@ func (r *fleetRun) settle(ctx context.Context, c *Client, pr pollResult, die fun
 // callback. Detached short-timeout context: the run's context may be
 // winding down by the time the last job settles, and spans are
 // diagnostics — a failed fetch logs rather than failing anything over.
-func (r *fleetRun) reportSpans(c *Client, pr pollResult) {
+func (r *fleetRun) reportSpans(c *Client, pr watchResult) {
 	if r.f.OnSpans == nil {
 		return
 	}
@@ -561,7 +535,6 @@ func (r *fleetRun) reportSpans(c *Client, pr pollResult) {
 	sv, err := c.Spans(ctx, pr.view.ID)
 	if err != nil {
 		r.f.logf("could not fetch spans for job %s on %s: %v", pr.view.ID, c.Base, err)
-		r.logEvent("span fetch failed", "job", pr.view.ID, "daemon", c.Base, "error", err.Error())
 		return
 	}
 	r.f.logMu.Lock()
@@ -569,41 +542,29 @@ func (r *fleetRun) reportSpans(c *Client, pr pollResult) {
 	r.f.logMu.Unlock()
 }
 
-// poll waits one job to a terminal state. Abandoning a non-terminal
-// job for any reason — caller cancellation, or a poll failure that
-// will make the dispatcher resubmit the spec elsewhere — cancels it
-// first (best-effort, short detached timeout), so it neither occupies
-// a daemon worker without an owner nor simulates concurrently with its
-// failover replacement.
-func (r *fleetRun) poll(ctx context.Context, c *Client, it fleetItem, id string, resc chan<- pollResult) {
-	v, err := r.waitJob(ctx, c, it, id)
-	if err != nil && !v.State.Terminal() {
-		if cerr := c.CancelOrphan(id); cerr != nil {
-			r.f.logf("could not cancel job %s on %s: %v", id, c.Base, cerr)
-			r.logEvent("orphan cancel failed", "job", id, "daemon", c.Base, "error", cerr.Error())
-		} else {
-			r.f.logf("canceled job %s on %s", id, c.Base)
-			r.logEvent("orphan canceled", "job", id, "daemon", c.Base)
-		}
-	}
-	resc <- pollResult{it: it, view: v, err: err}
-}
-
-// waitJob waits one job to a terminal view: over the SSE progress
-// stream when the fleet wants live progress, by plain status polling
-// otherwise. A failed stream (a proxy that buffers SSE, an older
-// daemon without the endpoint) falls back to polling rather than
-// charging the daemon a failover, since the job itself may be fine.
-func (r *fleetRun) waitJob(ctx context.Context, c *Client, it fleetItem, id string) (JobView, error) {
+// watch waits one job to a terminal state on its progress stream,
+// passing the stream's events to OnProgress when it is set. Abandoning
+// a non-terminal job for any reason — caller cancellation, or a stream
+// failure that will make the dispatcher resubmit the spec elsewhere —
+// cancels it first (best-effort, short detached timeout), so it
+// neither occupies a daemon worker without an owner nor simulates
+// concurrently with its failover replacement.
+func (r *fleetRun) watch(ctx context.Context, c *Client, it fleetItem, id string, resc chan<- watchResult) {
+	var fn func(JobProgress)
 	if r.f.OnProgress != nil {
-		v, err := c.WatchJob(ctx, id, func(p JobProgress) {
+		fn = func(p JobProgress) {
 			r.f.logMu.Lock()
 			r.f.OnProgress(r.specs[it.idx], p)
 			r.f.logMu.Unlock()
-		})
-		if err == nil || ctx.Err() != nil || v.State.Terminal() {
-			return v, err
 		}
 	}
-	return c.Wait(ctx, id, r.f.pollInterval())
+	v, err := c.WatchJob(ctx, id, fn)
+	if err != nil && !v.State.Terminal() {
+		if cerr := c.CancelOrphan(id); cerr != nil {
+			r.f.logf("could not cancel job %s on %s: %v", id, c.Base, cerr)
+		} else {
+			r.f.logf("canceled job %s on %s", id, c.Base)
+		}
+	}
+	resc <- watchResult{it: it, view: v, err: err}
 }

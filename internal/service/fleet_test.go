@@ -49,7 +49,7 @@ func TestFleetShardsAcrossDaemons(t *testing.T) {
 		clients = append(clients, c)
 		fakes = append(fakes, fake)
 	}
-	f := &Fleet{Clients: clients, MaxInflight: 4, PollInterval: 5 * time.Millisecond}
+	f := &Fleet{Clients: clients, MaxInflight: 4}
 	go func() {
 		for _, fake := range fakes {
 			<-fake.started // every daemon is running at least one job
@@ -141,9 +141,8 @@ func TestFleetFailover(t *testing.T) {
 	var logMu sync.Mutex
 	var logs []string
 	f := &Fleet{
-		Clients:      []*Client{badClient, goodClient},
-		MaxInflight:  3,
-		PollInterval: 5 * time.Millisecond,
+		Clients:     []*Client{badClient, goodClient},
+		MaxInflight: 3,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -177,7 +176,7 @@ func TestFleetFailover(t *testing.T) {
 func TestFleetDedupsIdenticalSpecs(t *testing.T) {
 	fake := newFake("e")
 	s, c := newFleetDaemon(t, Config{Workers: 2}, fake)
-	f := &Fleet{Clients: []*Client{c}, PollInterval: 5 * time.Millisecond}
+	f := &Fleet{Clients: []*Client{c}}
 
 	same := hmcsim.Spec{Exp: "e", Options: hmcsim.Options{Seed: 7}}
 	specs := []hmcsim.Spec{same, {Exp: "e", Options: hmcsim.Options{Seed: 1}}, same, same}
@@ -214,8 +213,7 @@ func TestFleetFailsOverClosedDaemon(t *testing.T) {
 
 	_, goodClient := newFleetDaemon(t, Config{Workers: 2}, newFake("e"))
 	f := &Fleet{
-		Clients:      []*Client{{Base: closedTS.URL, HTTP: closedTS.Client()}, goodClient},
-		PollInterval: 5 * time.Millisecond,
+		Clients: []*Client{{Base: closedTS.URL, HTTP: closedTS.Client()}, goodClient},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -234,8 +232,7 @@ func TestFleetFailsOverClosedDaemon(t *testing.T) {
 
 	// With no surviving peer the run must error out, not hang.
 	solo := &Fleet{
-		Clients:      []*Client{{Base: closedTS.URL, HTTP: closedTS.Client()}},
-		PollInterval: 5 * time.Millisecond,
+		Clients: []*Client{{Base: closedTS.URL, HTTP: closedTS.Client()}},
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
@@ -256,9 +253,8 @@ func TestFleetRetriesExhausted(t *testing.T) {
 	}))
 	t.Cleanup(dead.Close)
 	f := &Fleet{
-		Clients:      []*Client{{Base: dead.URL, HTTP: dead.Client()}},
-		PollInterval: 5 * time.Millisecond,
-		Retries:      2,
+		Clients: []*Client{{Base: dead.URL, HTTP: dead.Client()}},
+		Retries: 2,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -290,8 +286,7 @@ func TestFleetFailsOverDaemonWithoutBatchEndpoint(t *testing.T) {
 
 			_, goodClient := newFleetDaemon(t, Config{Workers: 2}, newFake("e"))
 			f := &Fleet{
-				Clients:      []*Client{{Base: old.URL, HTTP: old.Client()}, goodClient},
-				PollInterval: 5 * time.Millisecond,
+				Clients: []*Client{{Base: old.URL, HTTP: old.Client()}, goodClient},
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
@@ -316,7 +311,7 @@ func TestFleetFailsOverDaemonWithoutBatchEndpoint(t *testing.T) {
 func TestFleetProgressesThroughTinyQueue(t *testing.T) {
 	_, c := newFleetDaemon(t, Config{Workers: 1, QueueDepth: 1},
 		&fakeRunner{name: "e", started: make(chan struct{}), delay: 5 * time.Millisecond})
-	f := &Fleet{Clients: []*Client{c}, MaxInflight: 4, PollInterval: 2 * time.Millisecond}
+	f := &Fleet{Clients: []*Client{c}, MaxInflight: 4}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	views, err := f.Run(ctx, seedSpecs("e", 4))
@@ -353,7 +348,7 @@ func (b bigTextRunner) Run(ctx context.Context, o hmcsim.Options) (hmcsim.Result
 // misbehaving endpoint (which would cascade into spurious failover).
 func TestFleetBatchResponseScalesWithSpecs(t *testing.T) {
 	_, c := newFleetDaemon(t, Config{Workers: 2}, bigTextRunner{name: "big"})
-	f := &Fleet{Clients: []*Client{c}, MaxInflight: 4, PollInterval: 2 * time.Millisecond}
+	f := &Fleet{Clients: []*Client{c}, MaxInflight: 4}
 	ctx := context.Background()
 
 	// First run populates the cache with four ~400 KiB results.
@@ -395,7 +390,7 @@ func TestSettleRequeuesQueueFullFailure(t *testing.T) {
 	noDie := func(err error) { t.Errorf("settle killed the daemon: %v", err) }
 
 	r := newRun()
-	r.settle(context.Background(), c, pollResult{
+	r.settle(context.Background(), c, watchResult{
 		it:   fleetItem{idx: 0},
 		view: JobView{ID: "j1", State: StateFailed, Error: errQueueFull.Error(), ErrorCode: codeQueueFull},
 	}, noDie)
@@ -415,7 +410,7 @@ func TestSettleRequeuesQueueFullFailure(t *testing.T) {
 
 	// A genuine failure stays fatal.
 	r2 := newRun()
-	r2.settle(context.Background(), c, pollResult{
+	r2.settle(context.Background(), c, watchResult{
 		it:   fleetItem{idx: 0},
 		view: JobView{ID: "j1", State: StateFailed, Error: "boom"},
 	}, noDie)
@@ -431,7 +426,7 @@ func TestSettleRequeuesQueueFullFailure(t *testing.T) {
 // runner.
 func TestFleetRunSpec(t *testing.T) {
 	_, c := newFleetDaemon(t, Config{Workers: 1}, newFake("e"))
-	f := &Fleet{Clients: []*Client{c}, PollInterval: 5 * time.Millisecond}
+	f := &Fleet{Clients: []*Client{c}}
 
 	rr := hmcsim.RemoteRunner{Exp: "e", On: f}
 	res, err := rr.Run(context.Background(), hmcsim.Options{Seed: 42})
@@ -473,8 +468,7 @@ func TestFleetCancellationCancelsRemoteJobs(t *testing.T) {
 	var logMu sync.Mutex
 	var logs []string
 	f := &Fleet{
-		Clients:      []*Client{c},
-		PollInterval: 5 * time.Millisecond,
+		Clients: []*Client{c},
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))

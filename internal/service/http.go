@@ -55,17 +55,14 @@ func errorCode(err error) string {
 //	                       the job's lifecycle stage breakdown (received,
 //	                       queued, cache-check, running, marshal, done)
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
-//	GET    /v1/flight      flight recorder: the last N completed job
-//	                       records with stage durations and latency
-//	                       histograms
 //	GET    /v1/experiments the experiment registry
-//	GET    /v1/stats       queue, worker, job and cache statistics
+//	GET    /v1/stats       queue, worker, job and cache statistics, plus
+//	                       queue-wait and latency histograms
 //	GET    /v1/healthz     liveness probe
-//	GET    /metrics        Prometheus text exposition
 //
 // Submissions may carry an X-Hmcsim-Trace-Id header; the ID is stamped
-// on every job the request creates and echoed in span views and flight
-// records, correlating one logical run across daemons.
+// on every job the request creates and echoed in span views and the
+// daemon's job log records, correlating one logical run across daemons.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -74,11 +71,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleSpans)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/flight", s.handleFlight)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -94,71 +89,73 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Code: errorCode(err)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Specs are a few dozen bytes; bound the body so one hostile POST
-	// cannot balloon daemon memory.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// decodeBody decodes a submission body of at most limit bytes into v,
+// answering 400 itself when it does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	var spec hmcsim.Spec
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return false
 	}
-	j, err := s.SubmitTraced(spec, r.Header.Get(TraceHeader))
+	return true
+}
+
+// admit submits a request's specs and returns their views, in
+// submission order, with the status to answer: 200 when every job is
+// already terminal (cache hits), 202 otherwise. It answers a rejected
+// submission itself and then returns no views.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs ...hmcsim.Spec) ([]JobView, int) {
+	jobs, err := s.Submit(r.Header.Get(TraceHeader), specs...)
 	switch {
 	case errors.Is(err, errQueueFull), errors.Is(err, errClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return nil, 0
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
+		return nil, 0
+	}
+	status := http.StatusOK
+	views := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		views[i] = j.View()
+		if !views[i].State.Terminal() {
+			status = http.StatusAccepted
+		}
+	}
+	return views, status
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Specs are a few dozen bytes; bound the body so one hostile POST
+	// cannot balloon daemon memory.
+	var spec hmcsim.Spec
+	if !decodeBody(w, r, 1<<20, &spec) {
 		return
 	}
-	v := j.View()
-	if v.State.Terminal() {
-		writeJSON(w, http.StatusOK, v) // served from the cache
-		return
+	if views, status := s.admit(w, r, spec); views != nil {
+		writeJSON(w, status, views[0])
 	}
-	writeJSON(w, http.StatusAccepted, v)
 }
 
 // handleBatch admits a JSON array of specs in one request. Admission is
 // all-or-nothing: a 503 means no job was created, so a retrying client
-// never has to reconcile a half-admitted batch. Per-spec outcomes
-// (cache hits, coalesced duplicates, queued jobs) come back as one
-// JobView per submitted spec, in submission order.
+// never has to reconcile a half-admitted batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Batches legitimately carry thousands of specs (a whole sweep in
 	// one post), so the bound is 16x the single-spec endpoint's — room
 	// for ~10^5 specs while still capping a hostile body.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
 	var specs []hmcsim.Spec
-	if err := dec.Decode(&specs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, 16<<20, &specs) {
 		return
 	}
-	jobs, err := s.SubmitBatchTraced(specs, r.Header.Get(TraceHeader))
-	switch {
-	case errors.Is(err, errQueueFull), errors.Is(err, errClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	views, status := s.admit(w, r, specs...)
+	if views == nil {
 		return
 	}
-	views := make([]JobView, len(jobs))
-	allDone := true
-	for i, j := range jobs {
-		views[i] = j.View()
-		if !views[i].State.Terminal() {
-			allDone = false
-		}
-	}
-	if allDone {
-		writeJSON(w, http.StatusOK, views)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, views)
+	s.batches.Add(1)
+	s.batchSpecs.Add(uint64(len(specs)))
+	writeJSON(w, status, views)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -177,10 +174,6 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Spans())
-}
-
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.flight.snapshot())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -62,12 +62,12 @@ type Job struct {
 
 	// traceID correlates the job with the submission that created it;
 	// marks are the span timestamps; worker is the pool index that ran
-	// the job (-1 when none did); record, when set, receives the job's
-	// flight record at the terminal transition.
+	// the job (-1 when none did); srv is the server that admitted it,
+	// whose terminal hook runs at the terminal transition.
 	traceID string
 	worker  int
 	marks   spanMarks
-	record  func(FlightRecord)
+	srv     *Server
 
 	// prog is the latest live-progress snapshot from the running sweep;
 	// watchers are progress streams (SSE handlers), each a capacity-1
@@ -271,36 +271,7 @@ func (j *Job) finishLocked(s State) {
 	j.cancel() // release the context's resources
 	close(j.done)
 	j.notifyLocked() // terminal progress event, never dropped by new sends
-	if j.record != nil {
-		j.record(j.flightRecordLocked())
-	}
-}
-
-// flightRecordLocked assembles the job's flight record from its span
-// marks; the Slow flag is stamped by the recorder.
-func (j *Job) flightRecordLocked() FlightRecord {
-	r := FlightRecord{
-		ID:         j.id,
-		Exp:        j.spec.Exp,
-		Key:        j.key,
-		TraceID:    j.traceID,
-		State:      j.state,
-		Cached:     j.cached,
-		Worker:     j.worker,
-		Error:      j.err,
-		TotalMs:    msBetween(j.marks.received, j.finished),
-		FinishedAt: j.finished,
-	}
-	m := &j.marks
-	if !m.runStart.IsZero() {
-		r.QueueMs = msBetween(m.queued, m.runStart)
-		end := m.runEnd
-		if end.IsZero() {
-			end = j.finished
-		}
-		r.RunMs = msBetween(m.runStart, end)
-	}
-	return r
+	j.srv.jobFinished(j)
 }
 
 // complete records a successful outcome. cached marks results served

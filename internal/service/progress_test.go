@@ -3,10 +3,8 @@ package service
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -177,46 +175,47 @@ func TestProgressClientDisconnectLeaksNoGoroutines(t *testing.T) {
 	waitJob(t, c, v.ID)
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2}, sweepRunner{name: "sweep", points: 4})
+// TestStatsLatencyHistograms: /v1/stats summarizes every job's
+// admission-to-terminal latency and, for jobs a worker ran, the time
+// they waited for it; a cache hit counts toward latency only.
+func TestStatsLatencyHistograms(t *testing.T) {
+	fake := newFake("e")
+	fake.delay = 2 * time.Millisecond
+	_, c := newTestServer(t, Config{Workers: 1}, fake)
 	ctx := context.Background()
-	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "sweep"})
+
+	spec := hmcsim.Spec{Exp: "e", Options: hmcsim.Options{Seed: 3}}
+	v, err := c.Submit(ctx, spec)
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatal(err)
 	}
 	waitJob(t, c, v.ID)
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LatencyMs.Count != 1 || st.QueueWaitMs.Count != 1 {
+		t.Fatalf("after a simulated job: latency n=%d, queue wait n=%d, want 1/1", st.LatencyMs.Count, st.QueueWaitMs.Count)
+	}
+	if st.LatencyMs.Max < 2 {
+		t.Fatalf("latency max %d ms, want >= the runner's 2 ms delay", st.LatencyMs.Max)
+	}
+	if n := len(st.LatencyMs.Buckets); n == 0 || st.LatencyMs.Buckets[n-1].Count != 1 {
+		t.Fatalf("latency buckets %+v, want the one sample", st.LatencyMs.Buckets)
+	}
 
-	resp, err := c.httpClient().Get(c.Base + "/metrics")
+	if v2, err := c.Submit(ctx, spec); err != nil || !v2.Cached {
+		t.Fatalf("resubmission: %+v, %v; want a cache hit", v2, err)
+	}
+	st, err = c.Stats(ctx)
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	if st.LatencyMs.Count != 2 {
+		t.Fatalf("after a cache hit: latency n=%d, want 2", st.LatencyMs.Count)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type = %q, want text/plain exposition", ct)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	body := string(blob)
-	for _, want := range []string{
-		"# TYPE hmcsim_jobs gauge",
-		`hmcsim_jobs{state="done"} 1`,
-		"hmcsim_workers 2",
-		"hmcsim_uptime_seconds",
-		"hmcsim_build_info{version=",
-		"hmcsim_cache_misses_total 1",
-		`hmcsim_worker_jobs_total{worker="0"}`,
-		`hmcsim_worker_busy_seconds_total{worker="1"}`,
-		"hmcsim_sweep_points_total 4",
-		"hmcsim_goroutines",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	if st.QueueWaitMs.Count != 1 {
+		t.Fatalf("after a cache hit: queue wait n=%d, want 1 (no worker ran the hit)", st.QueueWaitMs.Count)
 	}
 }
 
@@ -242,8 +241,8 @@ func TestStatsExtendedFields(t *testing.T) {
 	if st.Goroutines <= 0 {
 		t.Errorf("goroutines = %d, want > 0", st.Goroutines)
 	}
-	if len(st.WorkerStats) != 3 {
-		t.Fatalf("got %d worker rows, want 3", len(st.WorkerStats))
+	if st.Workers != 3 || len(st.WorkerStats) != 3 {
+		t.Fatalf("got %d workers in %d rows, want 3", st.Workers, len(st.WorkerStats))
 	}
 	var jobs uint64
 	var busy float64

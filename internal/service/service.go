@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"hmcsim"
+	"hmcsim/internal/obs"
 )
 
 var (
@@ -52,17 +53,10 @@ type Config struct {
 	// by up to one retention window of traffic). 0 means 30s; negative
 	// disables retention and prunes strictly at MaxJobs.
 	Retain time.Duration
-	// FlightEntries bounds the flight recorder: the ring of the last N
-	// completed job records served at GET /v1/flight. <= 0 means 128.
-	FlightEntries int
-	// SlowJob is the latency threshold past which a completed job is
-	// flagged slow in the flight recorder. 0 means 10s; negative
-	// disables slow marking.
-	SlowJob time.Duration
 	// Logger, when non-nil, receives structured job-lifecycle records
 	// (admission, terminal state, latency) with the job's trace ID
-	// attached, so daemon logs correlate with spans and flight records.
-	// Nil disables lifecycle logging.
+	// attached, so daemon logs correlate with span views. Nil disables
+	// lifecycle logging.
 	Logger *slog.Logger
 }
 
@@ -85,15 +79,6 @@ func (c Config) withDefaults() Config {
 	case c.Retain < 0:
 		c.Retain = 0
 	}
-	if c.FlightEntries <= 0 {
-		c.FlightEntries = 128
-	}
-	switch {
-	case c.SlowJob == 0:
-		c.SlowJob = 10 * time.Second
-	case c.SlowJob < 0:
-		c.SlowJob = 0
-	}
 	return c
 }
 
@@ -103,7 +88,6 @@ type Server struct {
 	runners map[string]hmcsim.Runner
 	names   []string // registration order, for GET /v1/experiments
 	cache   *Cache
-	flight  *flightRecorder
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -129,6 +113,12 @@ type Server struct {
 	simEvents   atomic.Uint64
 	simTimePs   atomic.Int64
 	sweepPoints atomic.Uint64
+	// histMu guards the latency histograms, in milliseconds: time spent
+	// waiting for a worker (jobs a worker ran) and admission to terminal
+	// state (every job). It is a leaf lock, taken under a job's mutex.
+	histMu    sync.Mutex
+	queueWait obs.Hist
+	latency   obs.Hist
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -150,7 +140,6 @@ func New(cfg Config, runners []hmcsim.Runner) *Server {
 		cfg:      cfg,
 		runners:  make(map[string]hmcsim.Runner, len(runners)),
 		cache:    NewCache(cfg.CacheEntries),
-		flight:   newFlightRecorder(cfg.FlightEntries, cfg.SlowJob),
 		baseCtx:  ctx,
 		stop:     cancel,
 		queue:    make(chan *Job, cfg.QueueDepth),
@@ -282,24 +271,34 @@ func (s *Server) runJob(j *Job, worker int) {
 	}
 }
 
-// recordFlight is every job's terminal hook: the flight recorder keeps
-// the record, and the structured logger (when configured) emits it as a
-// trace-correlated lifecycle line. Called under the job's mutex, so
-// both sinks must stay leaf-locked.
-func (s *Server) recordFlight(r FlightRecord) {
-	s.flight.add(r)
-	s.logJob("job finished",
-		"job", r.ID, "exp", r.Exp, "traceId", r.TraceID,
-		"state", string(r.State), "cached", r.Cached, "worker", r.Worker,
-		"queueMs", r.QueueMs, "runMs", r.RunMs, "totalMs", r.TotalMs,
-		"error", r.Error)
-}
-
-// logJob emits one structured lifecycle record when a logger is
-// configured; a nil logger costs one branch.
-func (s *Server) logJob(msg string, args ...any) {
+// jobFinished is every job's terminal hook, called with j.mu held: it
+// feeds the latency histograms and, when a logger is configured, logs
+// the job's terminal record with its trace ID.
+func (s *Server) jobFinished(j *Job) {
+	m := &j.marks
+	ran := !m.runStart.IsZero()
+	var queueMs, runMs float64
+	if ran {
+		queueMs = msBetween(m.queued, m.runStart)
+		end := m.runEnd
+		if end.IsZero() {
+			end = j.finished
+		}
+		runMs = msBetween(m.runStart, end)
+	}
+	totalMs := msBetween(m.received, j.finished)
+	s.histMu.Lock()
+	s.latency.Observe(int(totalMs))
+	if ran {
+		s.queueWait.Observe(int(queueMs))
+	}
+	s.histMu.Unlock()
 	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info(msg, args...)
+		s.cfg.Logger.Info("job finished",
+			"job", j.id, "exp", j.spec.Exp, "traceId", j.traceID,
+			"state", string(j.state), "cached", j.cached, "worker", j.worker,
+			"queueMs", queueMs, "runMs", runMs, "totalMs", totalMs,
+			"error", j.err)
 	}
 }
 
@@ -352,56 +351,11 @@ func (c *Cache) peek(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-// Submit validates a spec, serves it from the cache when possible, and
-// otherwise enqueues it for the worker pool. The returned job is
-// already terminal for cache hits.
-func (s *Server) Submit(spec hmcsim.Spec) (*Job, error) {
-	return s.SubmitTraced(spec, "")
-}
-
-// SubmitTraced is Submit with a trace ID stamped on the created job,
-// for cross-daemon correlation in span views and the flight recorder.
-func (s *Server) SubmitTraced(spec hmcsim.Spec, traceID string) (*Job, error) {
-	jobs, err := s.submit([]hmcsim.Spec{spec}, traceID)
-	if err != nil {
-		return nil, err
-	}
-	return jobs[0], nil
-}
-
-// MaxBatchSpecs bounds one batch submission. Every admitted spec costs
-// a job record (and an adoption goroutine when it coalesces), all
-// created under the server lock, so an uncapped batch would let a
-// single request flood the job table and stall every other endpoint.
+// MaxBatchSpecs bounds one submission. Every admitted spec costs a job
+// record (and an adoption goroutine when it coalesces), all created
+// under the server lock, so an uncapped batch would let a single
+// request flood the job table and stall every other endpoint.
 const MaxBatchSpecs = 4096
-
-// SubmitBatch validates and admits a whole list of specs at once: cache
-// hits come back as already-terminal jobs, duplicates (within the batch
-// or of an already in-flight spec) coalesce onto one representative,
-// and the rest are queued atomically — either every spec that needs a
-// queue slot gets one, or the entire batch is rejected with the
-// queue-full error and no job is created. Returned jobs are in
-// submission order.
-func (s *Server) SubmitBatch(specs []hmcsim.Spec) ([]*Job, error) {
-	return s.SubmitBatchTraced(specs, "")
-}
-
-// SubmitBatchTraced is SubmitBatch with a trace ID stamped on every job
-// the batch creates.
-func (s *Server) SubmitBatchTraced(specs []hmcsim.Spec, traceID string) ([]*Job, error) {
-	if len(specs) == 0 {
-		return nil, errors.New("empty batch")
-	}
-	if len(specs) > MaxBatchSpecs {
-		return nil, fmt.Errorf("batch of %d specs exceeds the %d-spec limit; split the submission", len(specs), MaxBatchSpecs)
-	}
-	jobs, err := s.submit(specs, traceID)
-	if err == nil {
-		s.batches.Add(1)
-		s.batchSpecs.Add(uint64(len(specs)))
-	}
-	return jobs, err
-}
 
 // specErr prefixes an error with the offending spec's batch index, but
 // only when there is more than one spec to point into.
@@ -412,8 +366,20 @@ func specErr(n, i int, err error) error {
 	return fmt.Errorf("spec %d: %w", i, err)
 }
 
-// submit is the shared admission path behind Submit and SubmitBatch.
-func (s *Server) submit(specs []hmcsim.Spec, traceID string) ([]*Job, error) {
+// Submit validates and admits specs, stamping traceID on every job it
+// creates: cache hits come back as already-terminal jobs, duplicates
+// (within the submission or of an already in-flight spec) coalesce
+// onto one representative, and the rest are queued atomically —
+// either every spec that needs a queue slot gets one, or the whole
+// submission is rejected with the queue-full error and no job is
+// created. Returned jobs are in submission order.
+func (s *Server) Submit(traceID string, specs ...hmcsim.Spec) ([]*Job, error) {
+	if len(specs) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	if len(specs) > MaxBatchSpecs {
+		return nil, fmt.Errorf("batch of %d specs exceeds the %d-spec limit; split the submission", len(specs), MaxBatchSpecs)
+	}
 	received := time.Now() // anchors every created job's span breakdown
 	traceID = clampTraceID(traceID)
 	// Validate everything before admitting anything: a bad spec late in
@@ -525,15 +491,17 @@ func (s *Server) submit(specs []hmcsim.Spec, traceID string) ([]*Job, error) {
 			done:    make(chan struct{}),
 			traceID: traceID,
 			worker:  -1,
-			record:  s.recordFlight,
+			srv:     s,
 		}
 		j.submitted = received
 		j.marks.received = received
 		j.marks.queued = time.Now()
 		jobs[i] = j
-		s.logJob("job admitted",
-			"job", j.id, "exp", spec.Exp, "traceId", j.traceID,
-			"cached", disp[i] == dispHit, "adopted", disp[i] == dispAdoptTwin || disp[i] == dispAdoptBatch)
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Info("job admitted",
+				"job", j.id, "exp", spec.Exp, "traceId", j.traceID,
+				"cached", disp[i] == dispHit, "adopted", disp[i] == dispAdoptTwin || disp[i] == dispAdoptBatch)
+		}
 		switch disp[i] {
 		case dispHit:
 			j.markCacheDone()
@@ -660,6 +628,11 @@ type Stats struct {
 	SimEvents   uint64  `json:"simEvents"`
 	SimTimeMs   float64 `json:"simTimeMs"`
 	SweepPoints uint64  `json:"sweepPoints"`
+	// QueueWaitMs summarizes how long jobs a worker ran waited for it;
+	// LatencyMs, every job's admission-to-terminal latency. Both are in
+	// milliseconds.
+	QueueWaitMs obs.HistSummary `json:"queueWaitMs"`
+	LatencyMs   obs.HistSummary `json:"latencyMs"`
 }
 
 // WorkerStatView is one worker's row in Stats.
@@ -694,6 +667,9 @@ func (s *Server) Snapshot() Stats {
 			IdleMs: float64(idle.Microseconds()) / 1000,
 		}
 	}
+	s.histMu.Lock()
+	queueWait, latency := s.queueWait.Summarize(), s.latency.Summarize()
+	s.histMu.Unlock()
 	return Stats{
 		Experiments:   len(s.names),
 		Workers:       s.cfg.Workers,
@@ -712,11 +688,13 @@ func (s *Server) Snapshot() Stats {
 		SimEvents:     s.simEvents.Load(),
 		SimTimeMs:     float64(s.simTimePs.Load()) / 1e9,
 		SweepPoints:   s.sweepPoints.Load(),
+		QueueWaitMs:   queueWait,
+		LatencyMs:     latency,
 	}
 }
 
 // Version, when set via -ldflags "-X hmcsim/internal/service.Version=v1.2.3",
-// overrides the module build info in /v1/stats and /metrics.
+// overrides the module build info in /v1/stats.
 var Version string
 
 // version resolves the served build version: the ldflags override, the

@@ -82,7 +82,7 @@ func waitJob(t *testing.T, c *Client, id string) JobView {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Wait(ctx, id, 5*time.Millisecond)
+	v, err := c.WatchJob(ctx, id, nil)
 	if err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}
@@ -315,6 +315,17 @@ func TestExperimentsHealthzAndJobLookup(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %s", resp.Status)
 	}
+	// /v1/stats is the one aggregate surface: no /metrics or /v1/flight.
+	for _, path := range []string{"/metrics", "/v1/flight"} {
+		resp, err := c.httpClient().Get(c.Base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %s, want 404", path, resp.Status)
+		}
+	}
 
 	if _, err := c.Job(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "no such job") {
 		t.Fatalf("missing job lookup: err = %v, want 404", err)
@@ -393,26 +404,26 @@ func TestCloseCancelsBacklog(t *testing.T) {
 	blocker := newBlockingFake("slow")
 	other := newFake("other")
 	s := New(Config{Workers: 1, QueueDepth: 8}, []hmcsim.Runner{blocker, other})
-	j1, err := s.Submit(hmcsim.Spec{Exp: "slow"})
+	j1, err := s.Submit("", hmcsim.Spec{Exp: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-blocker.started
-	j2, err := s.Submit(hmcsim.Spec{Exp: "other"})
+	j2, err := s.Submit("", hmcsim.Spec{Exp: "other"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close() // cancels the running job's ctx and drains the backlog
-	if v := j1.View(); v.State != StateCanceled {
+	if v := j1[0].View(); v.State != StateCanceled {
 		t.Fatalf("running job after Close: %s", v.State)
 	}
-	if v := j2.View(); v.State != StateCanceled {
+	if v := j2[0].View(); v.State != StateCanceled {
 		t.Fatalf("queued job after Close: %s", v.State)
 	}
 	if other.runs.Load() != 0 {
 		t.Fatal("backlog job ran during shutdown")
 	}
-	if _, err := s.Submit(hmcsim.Spec{Exp: "other"}); err == nil {
+	if _, err := s.Submit("", hmcsim.Spec{Exp: "other"}); err == nil {
 		t.Fatal("submission accepted after Close")
 	}
 }

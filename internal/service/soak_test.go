@@ -229,13 +229,13 @@ func TestFleetSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := &faults{rng: rand.New(rand.NewSource(seed)), rate: rate}
 	var servers []*Server
-	var https []*httptest.Server
+	var fronts []*httptest.Server
 	var clients []*Client
 	for i := 0; i < daemons; i++ {
 		s := New(Config{Workers: 2, MaxJobs: maxJobs, Retain: -1}, exp.Runners())
 		ts := httptest.NewServer(s.Handler())
 		servers = append(servers, s)
-		https = append(https, ts)
+		fronts = append(fronts, ts)
 		clients = append(clients, &Client{Base: ts.URL, HTTP: &http.Client{
 			Transport: &faultyTransport{base: ts.Client().Transport, f: f},
 			Timeout:   5 * time.Second,
@@ -246,7 +246,7 @@ func TestFleetSoak(t *testing.T) {
 		if !closed {
 			closed = true
 			for i := range servers {
-				https[i].Close()
+				fronts[i].Close()
 				servers[i].Close()
 			}
 		}
@@ -277,7 +277,7 @@ func TestFleetSoak(t *testing.T) {
 			specs = append(specs, hmcsim.Spec{Exp: "eq1", Options: o}, hmcsim.Spec{Exp: "table1", Options: o})
 		}
 		specs = append(specs, specs[0]) // a duplicate the fleet dedups
-		fleet := &Fleet{Clients: clients, PollInterval: 5 * time.Millisecond}
+		fleet := &Fleet{Clients: clients}
 		if run%2 == 1 {
 			fleet.OnProgress = func(hmcsim.Spec, JobProgress) {}
 		}

@@ -1,10 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,10 +134,10 @@ func TestSpansCacheHit(t *testing.T) {
 }
 
 // TestSpansTraceIDPropagation: the client's X-Hmcsim-Trace-Id header
-// lands on the created job and flows into both the span view and the
-// flight record; oversized IDs are clamped, not rejected.
+// lands on the created job and flows into its span view; oversized IDs
+// are clamped, not rejected.
 func TestSpansTraceIDPropagation(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1}, newFake("e"))
+	_, c := newTestServer(t, Config{Workers: 1}, newFake("e"))
 	c.TraceID = "trace-abc123"
 	ctx := context.Background()
 
@@ -146,10 +152,6 @@ func TestSpansTraceIDPropagation(t *testing.T) {
 	}
 	if sv.TraceID != "trace-abc123" {
 		t.Fatalf("span TraceID %q, want %q", sv.TraceID, "trace-abc123")
-	}
-	fv := s.flight.snapshot()
-	if len(fv.Records) == 0 || fv.Records[0].TraceID != "trace-abc123" {
-		t.Fatalf("flight record missing trace ID: %+v", fv.Records)
 	}
 
 	// A hostile ID is truncated to the bound.
@@ -169,6 +171,96 @@ func TestSpansTraceIDPropagation(t *testing.T) {
 	}
 	if len(sv2.TraceID) != maxTraceID {
 		t.Fatalf("oversized trace ID stored as %d bytes, want clamped to %d", len(sv2.TraceID), maxTraceID)
+	}
+}
+
+// syncBuffer is a mutex-guarded log sink: the slog handler writes from
+// worker goroutines while the test polls String.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// failRunner always fails.
+type failRunner struct{ name string }
+
+func (f failRunner) Name() string     { return f.name }
+func (f failRunner) Describe() string { return "always fails" }
+func (f failRunner) Run(ctx context.Context, o hmcsim.Options) (hmcsim.Result, error) {
+	return hmcsim.Result{}, fmt.Errorf("vault meltdown")
+}
+
+// TestJobLogRecordsTrace: the structured logger emits "job admitted"
+// and "job finished" JSON records carrying the submission's trace ID,
+// and a failed job's finished record carries its state and error.
+func TestJobLogRecordsTrace(t *testing.T) {
+	const traceID = "cafe0123cafe0123"
+	var logBuf syncBuffer
+	cfg := Config{
+		Workers: 1,
+		Logger:  slog.New(slog.NewJSONHandler(&logBuf, nil)),
+	}
+	_, c := newTestServer(t, cfg, newFake("e"), failRunner{name: "bad"})
+	c.TraceID = traceID
+	ctx := context.Background()
+
+	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, c, v.ID)
+	bad, err := c.Submit(ctx, hmcsim.Spec{Exp: "bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, c, bad.ID)
+
+	// The finished record is logged inside the terminal transition,
+	// which the watch may observe first; give the write a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for strings.Count(logBuf.String(), "job finished") < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	type record struct {
+		Msg     string `json:"msg"`
+		Job     string `json:"job"`
+		TraceID string `json:"traceId"`
+		State   string `json:"state"`
+		Error   string `json:"error"`
+	}
+	seen := map[string]record{}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var rec record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		if rec.Job == "" {
+			continue
+		}
+		seen[rec.Job+" "+rec.Msg] = rec
+		if rec.TraceID != traceID {
+			t.Errorf("%q record of %s has traceId %q, want %q", rec.Msg, rec.Job, rec.TraceID, traceID)
+		}
+	}
+	for _, want := range []string{v.ID + " job admitted", v.ID + " job finished", bad.ID + " job finished"} {
+		if _, ok := seen[want]; !ok {
+			t.Errorf("structured log has no %q record:\n%s", want, logBuf.String())
+		}
+	}
+	if r := seen[bad.ID+" job finished"]; r.State != string(StateFailed) || !strings.Contains(r.Error, "vault meltdown") {
+		t.Errorf("failed job logged as %+v", r)
 	}
 }
 
@@ -234,8 +326,7 @@ func TestFleetSpansAggregation(t *testing.T) {
 	}
 	var reports []spanReport
 	f := &Fleet{
-		Clients:      clients,
-		PollInterval: 5 * time.Millisecond,
+		Clients: clients,
 		OnSpans: func(daemon string, spec hmcsim.Spec, sv SpanView) {
 			reports = append(reports, spanReport{daemon, spec.Options.Seed, sv})
 		},

@@ -145,10 +145,9 @@ func TestFleetFailsOverStalledProgressStream(t *testing.T) {
 
 	_, good := newTestServer(t, Config{Workers: 2}, newFake("e"))
 	f := &Fleet{
-		Clients:      []*Client{stalled, good},
-		MaxInflight:  1,
-		PollInterval: 5 * time.Millisecond,
-		OnProgress:   func(hmcsim.Spec, JobProgress) {},
+		Clients:     []*Client{stalled, good},
+		MaxInflight: 1,
+		OnProgress:  func(hmcsim.Spec, JobProgress) {},
 	}
 	<-opened // the direct watch above
 	views, err := f.Run(ctx, seedSpecs("e", 4))
