@@ -1,0 +1,69 @@
+package core
+
+import (
+	"testing"
+
+	"hmcsim/internal/host"
+	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
+)
+
+// TestSystemSteadyStateDoesNotAllocate holds whole systems to the
+// promise that a steady-state memory access allocates nothing: after a
+// 20 us warm-up has grown every free list, queue and tag pool to its
+// working size, 2 us more of simulation must not allocate. The three
+// setups are saturated 128 B GUPS over all vaults (the benchmark's
+// gups-spread), bank-bound GUPS over 2 banks mixing reads and writes,
+// whose requests park for link tokens and whose writes fail send
+// attempts, and the benchmark's traffic-rw ports: open-loop zipf
+// traffic with writes.
+func TestSystemSteadyStateDoesNotAllocate(t *testing.T) {
+	gups := func(kind host.RequestKind, banks int) func(*testing.T, *System) {
+		return func(_ *testing.T, sys *System) {
+			pat := AllVaults()
+			if banks > 0 {
+				pat = sys.Banks(banks)
+			}
+			for i := 0; i < MaxPorts; i++ {
+				host.NewGUPSPort(sys.Eng, sys.Cfg.Host, sys.Ctrl, sys.Map, sys.nextPortID(), host.GUPSConfig{
+					Size: 128, Kind: kind, Mask: pat.Mask, Seed: sys.Cfg.Seed + uint64(i)*977,
+				}).Start()
+			}
+		}
+	}
+	trafficRW := func(t *testing.T, sys *System) {
+		spec := traffic.Spec{
+			Pattern: traffic.PatternZipf, ZipfTheta: 0.9, WriteFraction: 0.3, MixRunLength: 4,
+			Discipline: traffic.DisciplineOpen, RateGBps: 1.5,
+		}
+		for i := 0; i < MaxPorts; i++ {
+			gen, err := traffic.Compile(spec, 64, sys.Cfg.Seed+uint64(i)*977)
+			if err != nil {
+				t.Fatal(err)
+			}
+			host.NewTrafficPort(sys.Eng, sys.Cfg.Host, sys.Ctrl, sys.Map, sys.nextPortID(), host.TrafficConfig{Size: 64, Gen: gen}).Start()
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		start func(*testing.T, *System)
+	}{
+		{"gups-spread", gups(host.ReadOnly, 0)},
+		{"gups-bank-mix", gups(host.ReadWriteMix, 2)},
+		{"traffic-rw", trafficRW},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := NewSystem(DefaultConfig())
+			c.start(t, sys)
+			sys.Eng.Run(20 * sim.Microsecond)
+			fired := sys.Eng.Fired()
+			allocs := testing.AllocsPerRun(1, func() { sys.Eng.Run(sys.Eng.Now() + 2*sim.Microsecond) })
+			if sys.Eng.Fired() == fired {
+				t.Fatal("no events fired after warm-up")
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations in 2 us of steady state, want 0", allocs)
+			}
+		})
+	}
+}

@@ -65,6 +65,14 @@ type HMC struct {
 
 	deliverResp func(*packet.Packet)
 
+	// free holds the fabric messages not in use. The cube makes and ends
+	// every message its fabric carries: one per request from link
+	// ingress to its vault, and one per response attempt from a vault to
+	// link egress. made counts the messages ever allocated; once the cube
+	// drains, free holds all of them.
+	free []*noc.Message
+	made int
+
 	reqsIn   uint64
 	respsOut uint64
 }
@@ -107,9 +115,8 @@ func New(eng *sim.Engine, cfg Config, deliverResp func(*packet.Packet)) *HMC {
 	}
 
 	// Vault controllers and their fabric adapters. The vault is the end
-	// of the request packet's life: once the controller accepts the
-	// transaction, the wire packet and its fabric message go back to
-	// their free lists.
+	// of the request's trip: once the controller accepts the transaction,
+	// its fabric message goes back to the free list.
 	vaultOutlets := make([]noc.Outlet, addr.Vaults)
 	for v := 0; v < addr.Vaults; v++ {
 		v := v
@@ -126,8 +133,7 @@ func New(eng *sim.Engine, cfg Config, deliverResp func(*packet.Packet)) *HMC {
 				if !vlt.TryAccept(m.Tr) {
 					return false
 				}
-				packet.PutPacket(m.Pkt)
-				noc.PutMessage(m)
+				h.release(m)
 				return true
 			},
 			Notify: func(_ *noc.Message, fn func()) { vlt.NotifyAccept(fn) },
@@ -146,7 +152,7 @@ func New(eng *sim.Engine, cfg Config, deliverResp func(*packet.Packet)) *HMC {
 					return false
 				}
 				h.respsOut++
-				noc.PutMessage(m)
+				h.release(m)
 				return true
 			},
 			Notify: func(_ *noc.Message, fn func()) { h.links[l].Resp.NotifyTokens(fn) },
@@ -178,13 +184,11 @@ type respAdapter struct {
 }
 
 func (a *respAdapter) TryOut(tr *packet.Transaction) bool {
-	m := noc.GetMessage(tr, tr.ResponsePacket(tr.Tag))
+	m := a.h.message(tr, tr.ResponsePacket(tr.Tag))
 	if !a.h.fabric.RespIngress(a.quad).TryOut(m) {
-		// Rejected: the fabric did not take ownership, so the speculative
-		// response packet and its message go straight back to the free
-		// lists instead of becoming garbage on every congested attempt.
-		packet.PutPacket(m.Pkt)
-		noc.PutMessage(m)
+		// Refused: the fabric did not take the message, so it goes
+		// straight back to the free list.
+		a.h.release(m)
 		return false
 	}
 	return true
@@ -192,11 +196,32 @@ func (a *respAdapter) TryOut(tr *packet.Transaction) bool {
 
 func (a *respAdapter) NotifyOut(tr *packet.Transaction, fn func()) {
 	// NotifyOut only routes the message to find the right credit pool; it
-	// does not retain it, so a transient pooled message (no packet
-	// needed: response routing reads only the transaction) suffices.
-	m := noc.GetMessage(tr, nil)
+	// does not retain it, so a transient message without a packet
+	// suffices: response routing reads only the transaction.
+	m := a.h.message(tr, nil)
 	a.h.fabric.RespIngress(a.quad).NotifyOut(m, fn)
-	noc.PutMessage(m)
+	a.h.release(m)
+}
+
+// message returns a fabric message carrying tr and pkt, from the free
+// list when it has one.
+func (h *HMC) message(tr *packet.Transaction, pkt *packet.Packet) *noc.Message {
+	var m *noc.Message
+	if n := len(h.free); n > 0 {
+		m = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		m = new(noc.Message)
+		h.made++
+	}
+	m.Tr, m.Pkt = tr, pkt
+	return m
+}
+
+// release returns m to the free list; nothing may touch it afterwards.
+func (h *HMC) release(m *noc.Message) {
+	*m = noc.Message{}
+	h.free = append(h.free, m)
 }
 
 // receiveRequest handles a request packet arriving on link l.
@@ -207,7 +232,7 @@ func (h *HMC) receiveRequest(l int, p *packet.Packet) {
 	}
 	h.reqsIn++
 	tr.TLinkTx = h.eng.Now()
-	h.fabric.InjectRequest(l, noc.GetMessage(tr, p))
+	h.fabric.InjectRequest(l, h.message(tr, p))
 }
 
 // ReqDir returns the request direction of link l; the host controller

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hmcsim/internal/addr"
+	"hmcsim/internal/noc"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
 )
@@ -116,6 +117,19 @@ func TestConservationUnderRandomLoad(t *testing.T) {
 	}
 	if q := ha.h.Fabric().QueuedMessages(); q != 0 {
 		t.Fatalf("%d messages stuck in fabric", q)
+	}
+	// Every message the cube made is back on its free list, once: a
+	// leaked message leaves the list short, and one released twice
+	// overfills it or repeats in it.
+	if len(ha.h.free) != ha.h.made {
+		t.Fatalf("free list holds %d messages, cube made %d", len(ha.h.free), ha.h.made)
+	}
+	seen := map[*noc.Message]bool{}
+	for _, m := range ha.h.free {
+		if seen[m] {
+			t.Fatal("message on the free list twice")
+		}
+		seen[m] = true
 	}
 	ids := map[uint64]bool{}
 	for _, tr := range ha.done {

@@ -109,7 +109,7 @@ func (p *GUPSPort) tick() {
 	if !p.active {
 		return
 	}
-	tag, ok := p.tags.take()
+	tr, ok := p.tags.take()
 	if !ok {
 		if !p.blocked {
 			p.blocked = true
@@ -117,14 +117,14 @@ func (p *GUPSPort) tick() {
 		}
 		return
 	}
-	tr := p.generate(tag)
+	p.generate(tr)
 	p.issued++
 	p.ctrl.Submit(tr)
 	p.tickT.At(p.clock.Next(p.eng.Now() + 1))
 }
 
-// generate builds the next transaction.
-func (p *GUPSPort) generate(tag uint16) *packet.Transaction {
+// generate fills tr, fresh from the tag pool, with the next request.
+func (p *GUPSPort) generate(tr *packet.Transaction) {
 	var raw uint64
 	if p.cfg.Linear {
 		raw = p.next
@@ -141,16 +141,13 @@ func (p *GUPSPort) generate(tag uint16) *packet.Transaction {
 		write = p.issued%2 == 1
 	}
 	loc := p.mapp.Decode(a)
-	tr := packet.GetTransaction()
 	tr.ID = p.issued | uint64(p.id)<<56
 	tr.Write = write
 	tr.Addr = a
 	tr.Size = p.cfg.Size
 	tr.Port = p.id
-	tr.Tag = tag
 	tr.Vault, tr.Quadrant, tr.Bank, tr.Row = loc.Vault, loc.Quadrant, loc.Bank, loc.Row
 	tr.TGen = p.eng.Now()
-	return tr
 }
 
 // complete implements the controller callback: GUPS discards response
@@ -159,6 +156,5 @@ func (p *GUPSPort) generate(tag uint16) *packet.Transaction {
 func (p *GUPSPort) complete(tr *packet.Transaction) {
 	tr.TDone = p.eng.Now()
 	p.Mon.record(tr)
-	p.tags.put(tr.Tag)
-	packet.PutTransaction(tr)
+	p.tags.put(tr)
 }

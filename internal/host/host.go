@@ -198,12 +198,9 @@ func (c *Controller) Submit(tr *packet.Transaction) {
 func (c *Controller) engineDone() {
 	j := c.jobs.Pop()
 	if j.resp {
-		tr := j.pkt.Tr
-		// Only now does the packet leave the link receive buffer; it has
-		// served its purpose, so it goes back to the free list.
+		// Only now does the packet leave the link receive buffer.
 		c.dev.ReleaseResp(j.pkt.Link, j.pkt.Flits())
-		packet.PutPacket(j.pkt)
-		c.rxq.Push(tr)
+		c.rxq.Push(j.pkt.Tr)
 		c.eng.Schedule(c.cfg.RxLatency, c.rxFn)
 		return
 	}
@@ -344,41 +341,54 @@ func (c *Controller) Utilization(now sim.Time) float64 { return c.engine.Utiliza
 
 // tagPool is the port-level pool of transaction tags (Rd.Tag Pool in
 // Figure 5). Tags are small integers unique per port so the wire format's
-// 11-bit field can address them.
+// 11-bit field can address them. Each tag owns one transaction, made the
+// first time the tag is taken and handed out again by every later take,
+// so the pool owns every transaction its port issues.
 type tagPool struct {
-	free    []uint16
-	waiters sim.Waiters
+	free    []*packet.Transaction // returned transactions, newest last
+	made    int                   // tags taken at least once
+	base    int                   // tag of the pool's first slot
 	size    int
+	waiters sim.Waiters
 	trace   *obs.HostTracer
 }
 
 func newTagPool(port, n int, trace *obs.HostTracer) *tagPool {
-	p := &tagPool{size: n, trace: trace}
-	for i := n - 1; i >= 0; i-- {
-		p.free = append(p.free, uint16((port*n+i)%2048))
-	}
-	return p
+	return &tagPool{base: port * n, size: n, trace: trace}
 }
 
-func (p *tagPool) take() (uint16, bool) {
-	if len(p.free) == 0 {
+// take hands out a free tag's transaction, zeroed except for Tag. The
+// newest returned tag goes first; tags never taken go only when none is
+// returned, lowest first. That is the order of one LIFO stack that
+// starts full, so tag values do not depend on when transactions are
+// made.
+func (p *tagPool) take() (*packet.Transaction, bool) {
+	var tr *packet.Transaction
+	switch n := len(p.free); {
+	case n > 0:
+		tr = p.free[n-1]
+		p.free = p.free[:n-1]
+		*tr = packet.Transaction{Tag: tr.Tag}
+	case p.made < p.size:
+		tr = &packet.Transaction{Tag: uint16((p.base + p.made) % 2048)}
+		p.made++
+	default:
 		p.trace.OnTagWait()
-		return 0, false
+		return nil, false
 	}
-	t := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.trace.OnTagTake(p.size - len(p.free))
-	return t, true
+	p.trace.OnTagTake(p.outstanding())
+	return tr, true
 }
 
-func (p *tagPool) put(t uint16) {
-	p.free = append(p.free, t)
+// put returns a retired transaction and its tag to the pool.
+func (p *tagPool) put(tr *packet.Transaction) {
+	p.free = append(p.free, tr)
 	p.waiters.Fire()
 }
 
 func (p *tagPool) notify(fn func()) { p.waiters.Add(fn) }
 
-func (p *tagPool) outstanding() int { return p.size - len(p.free) }
+func (p *tagPool) outstanding() int { return p.made - len(p.free) }
 
 // Monitor is the per-port monitoring logic (Section III-B): total reads
 // and writes, aggregate/minimum/maximum read latency. It sits outside the

@@ -7,6 +7,7 @@ import (
 	"hmcsim/internal/hmc"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // rig wires a real cube behind a controller for integration-style tests.
@@ -308,28 +309,108 @@ func TestMonitorReset(t *testing.T) {
 func TestTagPoolRoundTrip(t *testing.T) {
 	p := newTagPool(3, 16, nil)
 	seen := map[uint16]bool{}
+	var taken []*packet.Transaction
 	for i := 0; i < 16; i++ {
-		tag, ok := p.take()
+		tr, ok := p.take()
 		if !ok {
 			t.Fatalf("take %d failed", i)
 		}
-		if seen[tag] {
-			t.Fatalf("duplicate tag %d", tag)
+		if seen[tr.Tag] {
+			t.Fatalf("duplicate tag %d", tr.Tag)
 		}
-		seen[tag] = true
+		seen[tr.Tag] = true
+		taken = append(taken, tr)
 	}
 	if _, ok := p.take(); ok {
 		t.Fatal("take succeeded on empty pool")
 	}
 	woken := false
 	p.notify(func() { woken = true })
-	p.put(42)
+	back := taken[5]
+	back.Addr, back.TDone = 0x40, 9
+	p.put(back)
 	if !woken {
 		t.Fatal("waiter not woken")
 	}
 	if p.outstanding() != 15 {
 		t.Fatalf("outstanding = %d, want 15", p.outstanding())
 	}
+	tr, ok := p.take()
+	if !ok || tr != back {
+		t.Fatalf("take after put = %p, %v; want the returned transaction %p", tr, ok, back)
+	}
+	if *tr != (packet.Transaction{Tag: back.Tag}) {
+		t.Fatalf("reused transaction not zeroed except for Tag: %+v", tr)
+	}
+}
+
+// checkTagsHome asserts that a drained port's tag pool holds every
+// transaction it made, each once: a leaked transaction leaves the pool
+// short, and one put back twice overfills it or repeats in it.
+func checkTagsHome(t *testing.T, name string, outstanding int, p *tagPool) {
+	t.Helper()
+	if outstanding != 0 {
+		t.Errorf("%s: %d requests outstanding after drain", name, outstanding)
+	}
+	if p.made == 0 {
+		t.Errorf("%s: made no transaction", name)
+	}
+	if len(p.free) != p.made {
+		t.Errorf("%s: tag pool holds %d transactions, made %d", name, len(p.free), p.made)
+	}
+	seen := make(map[*packet.Transaction]bool, len(p.free))
+	for _, tr := range p.free {
+		if seen[tr] {
+			t.Errorf("%s: transaction with tag %d is in the pool twice", name, tr.Tag)
+		}
+		seen[tr] = true
+	}
+}
+
+// TestDrainedPortsHoldEveryTransaction runs a GUPS, a traffic and a
+// stream port side by side, then checks that once the engine drains
+// every tag pool holds every transaction it made. The GUPS port mixes
+// reads and writes over two banks so its tags run out and its requests
+// park for link tokens; the traffic port is open-loop with writes.
+func TestDrainedPortsHoldEveryTransaction(t *testing.T) {
+	r := newRig(t)
+	cfg := DefaultConfig()
+	mask, err := r.mapp.BanksMask(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gups := NewGUPSPort(r.eng, cfg, r.ctrl, r.mapp, 0, GUPSConfig{
+		Size: 128, Kind: ReadWriteMix, Mask: mask, Seed: 4,
+	})
+	gen, err := traffic.Compile(traffic.Spec{
+		Pattern: traffic.PatternZipf, ZipfTheta: 0.9, WriteFraction: 0.3, MixRunLength: 4,
+		Discipline: traffic.DisciplineOpen, RateGBps: 1.5,
+	}, 64, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := NewTrafficPort(r.eng, cfg, r.ctrl, r.mapp, 1, TrafficConfig{Size: 64, Gen: gen})
+	stream := NewStreamPort(r.eng, cfg, r.ctrl, r.mapp, 2)
+	trace := make([]Request, 300)
+	for i := range trace {
+		trace[i] = Request{Addr: uint64(i) * 4096, Size: 32, Write: i%3 == 0}
+	}
+	r.eng.Schedule(0, func() {
+		gups.Start()
+		tp.Start()
+		stream.Play(trace)
+	})
+	r.eng.Schedule(20*sim.Microsecond, func() {
+		gups.Stop()
+		tp.Stop()
+	})
+	r.eng.Drain()
+	if gups.Mon.Reads == 0 || tp.Mon.Reads == 0 || stream.Mon.Reads == 0 {
+		t.Fatalf("reads completed: gups %d, traffic %d, stream %d", gups.Mon.Reads, tp.Mon.Reads, stream.Mon.Reads)
+	}
+	checkTagsHome(t, "gups", gups.Outstanding(), gups.tags)
+	checkTagsHome(t, "traffic", tp.Outstanding(), tp.tags)
+	checkTagsHome(t, "stream", stream.Outstanding(), stream.tags)
 }
 
 func TestConfigClock(t *testing.T) {

@@ -102,7 +102,7 @@ func (p *StreamPort) tick() {
 		p.maybeIdle()
 		return
 	}
-	tag, ok := p.tags.take()
+	tr, ok := p.tags.take()
 	if !ok {
 		p.tags.notify(p.resumeFn)
 		return
@@ -110,13 +110,11 @@ func (p *StreamPort) tick() {
 	req := p.trace[p.cursor]
 	p.cursor++
 	loc := p.mapp.Decode(req.Addr)
-	tr := packet.GetTransaction()
 	tr.ID = p.issued | uint64(p.id)<<56
 	tr.Write = req.Write
 	tr.Addr = req.Addr
 	tr.Size = req.Size
 	tr.Port = p.id
-	tr.Tag = tag
 	tr.Vault, tr.Quadrant, tr.Bank, tr.Row = loc.Vault, loc.Quadrant, loc.Bank, loc.Row
 	tr.TGen = p.eng.Now()
 	p.issued++
@@ -142,8 +140,7 @@ func (p *StreamPort) chanDone() {
 	tr := p.chanq.Pop()
 	tr.TDone = p.eng.Now()
 	p.Mon.record(tr)
-	p.tags.put(tr.Tag)
-	packet.PutTransaction(tr)
+	p.tags.put(tr)
 	p.pending--
 	p.maybeIdle()
 }

@@ -23,8 +23,8 @@ type TrafficConfig struct {
 // toward a target GB/s.
 //
 // The steady-state issue path allocates nothing: the tick and phase
-// callbacks are bound once in Timers, transactions come from the packet
-// free lists, and Gen.Next is allocation-free by contract.
+// callbacks are bound once in Timers, transactions come from the port's
+// tag pool, and Gen.Next is allocation-free by contract.
 type TrafficPort struct {
 	id    int
 	eng   *sim.Engine
@@ -173,12 +173,12 @@ func (p *TrafficPort) tick() {
 		return
 	}
 	if p.closed {
-		tag, ok := p.tags.take()
+		tr, ok := p.tags.take()
 		if !ok {
 			p.park()
 			return
 		}
-		p.issue(tag)
+		p.issue(tr)
 		p.armTick(p.clock.Next(p.eng.Now() + 1))
 		return
 	}
@@ -187,13 +187,13 @@ func (p *TrafficPort) tick() {
 		p.bucket = p.bucketCap
 	}
 	for p.bucket >= p.sizeFP {
-		tag, ok := p.tags.take()
+		tr, ok := p.tags.take()
 		if !ok {
 			p.park()
 			return
 		}
 		p.bucket -= p.sizeFP
-		p.issue(tag)
+		p.issue(tr)
 	}
 	p.armTick(p.clock.Next(p.eng.Now() + 1))
 }
@@ -207,18 +207,17 @@ func (p *TrafficPort) park() {
 	}
 }
 
-// issue builds and submits the next transaction from the generator.
-func (p *TrafficPort) issue(tag uint16) {
+// issue fills tr, fresh from the tag pool, with the generator's next
+// request and submits it.
+func (p *TrafficPort) issue(tr *packet.Transaction) {
 	a, write := p.gen.Next()
 	a &= addr.CubeBytes - 1
 	loc := p.mapp.Decode(a)
-	tr := packet.GetTransaction()
 	tr.ID = p.issued | uint64(p.id)<<56
 	tr.Write = write
 	tr.Addr = a
 	tr.Size = p.size
 	tr.Port = p.id
-	tr.Tag = tag
 	tr.Vault, tr.Quadrant, tr.Bank, tr.Row = loc.Vault, loc.Quadrant, loc.Bank, loc.Row
 	tr.TGen = p.eng.Now()
 	p.issued++
@@ -230,6 +229,5 @@ func (p *TrafficPort) issue(tag uint16) {
 func (p *TrafficPort) complete(tr *packet.Transaction) {
 	tr.TDone = p.eng.Now()
 	p.Mon.record(tr)
-	p.tags.put(tr.Tag)
-	packet.PutTransaction(tr)
+	p.tags.put(tr)
 }

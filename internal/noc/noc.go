@@ -23,7 +23,6 @@ package noc
 
 import (
 	"fmt"
-	"sync"
 
 	"hmcsim/internal/obs"
 	"hmcsim/internal/packet"
@@ -41,34 +40,15 @@ type Message struct {
 // Flits returns the message's current wire length.
 func (m *Message) Flits() int { return m.Pkt.Flits() }
 
-// Messages ride a free list: the glue layer creates one per injection
-// and the terminal outlet (vault adapter, link egress) releases it, so
-// steady-state fabric traffic allocates nothing.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// GetMessage returns a Message carrying tr and pkt from the free list.
-func GetMessage(tr *packet.Transaction, pkt *packet.Packet) *Message {
-	m := msgPool.Get().(*Message)
-	m.Tr, m.Pkt = tr, pkt
-	return m
-}
-
-// PutMessage returns m to the free list. The caller must hold the only
-// live reference; m must not be touched afterwards.
-func PutMessage(m *Message) {
-	m.Tr, m.Pkt = nil, nil
-	msgPool.Put(m)
-}
-
 // Outlet is anything a router output can feed: another router's input,
 // a vault adapter, or a link-egress adapter. TryOut must not block; a
 // false return means "register fn with NotifyOut(m, fn) and try again
 // when it fires". A true return transfers ownership of m to the outlet
 // — the caller must not touch the message afterwards, which is what
-// lets terminal outlets release it to the free list. NotifyOut takes
-// the message so credit-managed outlets can wake the caller on the
-// specific resource the message needs; it must use m synchronously and
-// not retain it.
+// lets a terminal outlet hand it back to whoever made it for reuse.
+// NotifyOut takes the message so credit-managed outlets can wake the
+// caller on the specific resource the message needs; it must use m
+// synchronously and not retain it.
 type Outlet interface {
 	TryOut(m *Message) bool
 	NotifyOut(m *Message, fn func())
@@ -269,8 +249,8 @@ func (r *Router) deliver(i int) {
 		o.outlet.NotifyOut(m, o.delivFn)
 		return
 	}
-	// The outlet now owns m; a terminal outlet may already have released
-	// it to the free list, so it must not be touched below this line.
+	// The outlet now owns m; a terminal outlet may already have handed it
+	// back for reuse, so it must not be touched below this line.
 	o.inflight = nil
 	// The credit is held until the message has fully left the router,
 	// keeping each pool a true bound on per-output occupancy.

@@ -2,7 +2,7 @@ package packet
 
 import "testing"
 
-// Codec and pool micro-benchmarks; run with
+// Codec micro-benchmarks; run with
 // go test -bench=. -benchmem ./internal/packet/...
 
 // BenchmarkEncode measures serializing a max-size write request (9
@@ -38,33 +38,5 @@ func BenchmarkDecode(b *testing.B) {
 		if _, _, _, err := Decode(words); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPacketPool measures the free-list round trip the simulator
-// performs per transaction: build a request and a response packet,
-// release both. Steady state is 0 allocs/op.
-func BenchmarkPacketPool(b *testing.B) {
-	tr := &Transaction{Write: false, Addr: 0x1000, Size: 64, Tag: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := tr.RequestPacket(tr.Tag)
-		resp := tr.ResponsePacket(tr.Tag)
-		PutPacket(req)
-		PutPacket(resp)
-	}
-}
-
-// BenchmarkTransactionPool measures the per-access transaction
-// acquire/release cycle the ports perform.
-func BenchmarkTransactionPool(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := GetTransaction()
-		tr.Addr = uint64(i)
-		tr.Size = 64
-		PutTransaction(tr)
 	}
 }

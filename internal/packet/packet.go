@@ -156,7 +156,9 @@ func Efficiency(size int) float64 {
 
 // Transaction tracks one read or write through the full system and records
 // the timestamps the monitoring logic (Section III-B) uses. A Transaction
-// owns its request and, eventually, response packets.
+// carries its own request and response packets, so an access allocates
+// no packet; the tag pool of the host port that issues it owns the
+// Transaction and reuses it for later accesses.
 type Transaction struct {
 	ID    uint64
 	Write bool
@@ -179,6 +181,8 @@ type Transaction struct {
 	TVaultOut sim.Time // response left the vault into the NoC
 	TLinkRx   sim.Time // response finished deserializing at the host
 	TDone     sim.Time // response retired by the port (latency endpoint)
+
+	req, resp Packet
 }
 
 // Latency returns the monitored round-trip time: generation to retirement.
@@ -189,25 +193,26 @@ func (t *Transaction) Latency() sim.Time { return t.TDone - t.TGen }
 // of Figure 14.
 func (t *Transaction) HMCLatency() sim.Time { return t.TVaultOut - t.TLinkTx }
 
-// RequestPacket builds the wire packet for the transaction's request.
-// The packet comes from the free list; the component that consumes it
-// (the vault controller, for requests that reach DRAM) releases it with
-// PutPacket.
+// RequestPacket builds the wire packet for the transaction's request in
+// the transaction's own request slot and returns a pointer to it. Each
+// call rebuilds that one packet, so it must not be called again while
+// the request is in flight.
 func (t *Transaction) RequestPacket(tag uint16) *Packet {
 	cmd := CmdRead
 	if t.Write {
 		cmd = CmdWrite
 	}
-	p := GetPacket()
 	// Read requests carry the requested size in the command encoding but no
 	// data flits; DataFlits is zero for CmdRead regardless of Size.
-	p.Cmd, p.Tag, p.Addr, p.Size, p.SrcPort, p.Link, p.Tr = cmd, tag, t.Addr, t.Size, t.Port, t.Link, t
-	return p
+	t.req = Packet{Cmd: cmd, Tag: tag, Addr: t.Addr, Size: t.Size, SrcPort: t.Port, Link: t.Link, Tr: t}
+	return &t.req
 }
 
-// ResponsePacket builds the wire packet for the transaction's response.
-// The packet comes from the free list; the host controller releases it
-// with PutPacket when it drains the packet from the link buffer.
+// ResponsePacket builds the wire packet for the transaction's response
+// in the transaction's own response slot and returns a pointer to it.
+// Each call rebuilds that one packet. The cube builds it on every
+// attempt a vault makes to send the response, which is safe because a
+// refused attempt leaves no reference to it in the fabric.
 func (t *Transaction) ResponsePacket(tag uint16) *Packet {
 	cmd := CmdReadResp
 	size := t.Size
@@ -215,9 +220,8 @@ func (t *Transaction) ResponsePacket(tag uint16) *Packet {
 		cmd = CmdWriteResp
 		size = 0
 	}
-	p := GetPacket()
-	p.Cmd, p.Tag, p.Addr, p.Size, p.SrcPort, p.Link, p.Tr = cmd, tag, t.Addr, size, t.Port, t.Link, t
-	return p
+	t.resp = Packet{Cmd: cmd, Tag: tag, Addr: t.Addr, Size: size, SrcPort: t.Port, Link: t.Link, Tr: t}
+	return &t.resp
 }
 
 // RoundTripBytes returns the counted request+response bytes for this

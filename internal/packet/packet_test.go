@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -221,18 +222,23 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 }
 
 func TestEncodeRejectsMalformed(t *testing.T) {
-	bad := []Packet{
-		{Cmd: CmdRead, Size: 0},
-		{Cmd: CmdRead, Size: 24},
-		{Cmd: CmdWrite, Size: 256},
-		{Cmd: CmdRead, Size: 16, Addr: 1 << 34},
-		{Cmd: CmdRead, Size: 16, Tag: 1 << 11},
-		{Cmd: Command(99)},
+	bad := []struct {
+		p    Packet
+		tail Tail
+	}{
+		{p: Packet{Cmd: CmdRead, Size: 0}},
+		{p: Packet{Cmd: CmdRead, Size: 24}},
+		{p: Packet{Cmd: CmdWrite, Size: 256}},
+		{p: Packet{Cmd: CmdRead, Size: 16, Addr: 1 << 34}},
+		{p: Packet{Cmd: CmdRead, Size: 16, Tag: 1 << 11}},
+		{p: Packet{Cmd: CmdRead, Size: 16, Cube: 1 << 3}},
+		{p: Packet{Cmd: CmdRead, Size: 16}, tail: Tail{RTC: 1 << 5}},
+		{p: Packet{Cmd: CmdRead, Size: 16}, tail: Tail{SEQ: 1 << 3}},
+		{p: Packet{Cmd: Command(99)}},
 	}
-	for _, p := range bad {
-		p := p
-		if _, err := Encode(&p, Tail{}, nil); err == nil {
-			t.Errorf("Encode(%+v) succeeded, want error", p)
+	for _, c := range bad {
+		if _, err := Encode(&c.p, c.tail, nil); !errors.Is(err, ErrMalformed) {
+			t.Errorf("Encode(%+v, %+v) = %v, want ErrMalformed", c.p, c.tail, err)
 		}
 	}
 }

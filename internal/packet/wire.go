@@ -92,9 +92,11 @@ func wireCmd(p *Packet) (uint64, error) {
 }
 
 // Encode serializes p and its tail fields into flit words (two uint64 per
-// flit, low word first). Data payload words are zero; the simulator tracks
-// timing, not contents. The CRC is computed over the encoded packet with
-// the CRC field zeroed and then inserted.
+// flit, low word first). Data payload words carry data, or are zero when
+// data is nil; the simulator tracks timing, not contents. The CRC is
+// computed over the encoded packet with the CRC field zeroed and then
+// inserted. A field that does not fit its wire width is an ErrMalformed
+// error, never truncated.
 func Encode(p *Packet, tail Tail, data []byte) ([]uint64, error) {
 	cmd, err := wireCmd(p)
 	if err != nil {
@@ -107,6 +109,15 @@ func Encode(p *Packet, tail Tail, data []byte) ([]uint64, error) {
 	if p.Tag >= 1<<11 {
 		return nil, fmt.Errorf("%w: tag %d exceeds 11 bits", ErrMalformed, p.Tag)
 	}
+	if p.Cube >= 1<<3 {
+		return nil, fmt.Errorf("%w: cube %d exceeds 3 bits", ErrMalformed, p.Cube)
+	}
+	if tail.RTC >= 1<<5 {
+		return nil, fmt.Errorf("%w: return token count %d exceeds 5 bits", ErrMalformed, tail.RTC)
+	}
+	if tail.SEQ >= 1<<3 {
+		return nil, fmt.Errorf("%w: sequence number %d exceeds 3 bits", ErrMalformed, tail.SEQ)
+	}
 	if data != nil && len(data) != p.DataFlits()*FlitBytes {
 		return nil, fmt.Errorf("%w: data length %d, want %d", ErrMalformed, len(data), p.DataFlits()*FlitBytes)
 	}
@@ -114,8 +125,8 @@ func Encode(p *Packet, tail Tail, data []byte) ([]uint64, error) {
 	header := cmd |
 		uint64(flits)<<6 |
 		uint64(p.Tag)<<12 |
-		(p.Addr&(1<<34-1))<<24 |
-		uint64(p.Cube&0x7)<<61
+		p.Addr<<24 |
+		uint64(p.Cube)<<61
 	words[0] = header
 	// Pack payload bytes little-endian into the words between header and
 	// tail. The payload region starts at bit 64 of flit 0.
@@ -123,9 +134,9 @@ func Encode(p *Packet, tail Tail, data []byte) ([]uint64, error) {
 		bit := 64 + i*8
 		words[bit/64] |= uint64(b) << (bit % 64)
 	}
-	tailWord := uint64(flits&0xF) |
-		uint64(tail.RTC&0x1F)<<4 |
-		uint64(tail.SEQ&0x7)<<9 |
+	tailWord := uint64(flits) |
+		uint64(tail.RTC)<<4 |
+		uint64(tail.SEQ)<<9 |
 		uint64(tail.FRP)<<12 |
 		uint64(tail.RRP)<<20
 	words[2*flits-1] |= tailWord
