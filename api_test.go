@@ -4,6 +4,7 @@ package hmcsim_test
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -116,6 +117,22 @@ func TestTraceSpecGenerate(t *testing.T) {
 	}
 	if _, err := (hmcsim.TraceSpec{N: 1, Size: 64, Vaults: 3}).Generate(); err == nil {
 		t.Error("3 vaults accepted, want error (not a power of two)")
+	}
+	if _, err := (hmcsim.TraceSpec{N: -1, Size: 64}).Generate(); err == nil {
+		t.Error("N -1 accepted, want error")
+	}
+	if reqs, err := (hmcsim.TraceSpec{N: 0, Size: 64}).Generate(); err != nil || len(reqs) != 0 {
+		t.Errorf("N 0: %d requests, err %v; want an empty trace", len(reqs), err)
+	}
+	for _, w := range []float64{-0.5, 1.7, math.NaN()} {
+		if _, err := (hmcsim.TraceSpec{N: 1, Size: 64, Writes: w}).Generate(); err == nil {
+			t.Errorf("write fraction %g accepted, want error (outside [0, 1])", w)
+		}
+	}
+	for _, w := range []float64{0, 1} {
+		if _, err := (hmcsim.TraceSpec{N: 1, Size: 64, Writes: w}).Generate(); err != nil {
+			t.Errorf("write fraction %g rejected: %v", w, err)
+		}
 	}
 }
 

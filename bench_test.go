@@ -20,6 +20,7 @@ import (
 	"hmcsim/internal/dram"
 	"hmcsim/internal/exp"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // ctx is declared in api_test.go; both files share package hmcsim_test.
@@ -43,15 +44,19 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
-// TestBenchSweep runs every registered experiment once in quick mode
-// and checks that each runner names its result. Only when asked does it
-// also write the wall-clock trajectory to the tracked BENCH_sweep.json:
+// TestBenchSweep writes the wall-clock trajectory of every registered
+// experiment, run once in quick mode, to the tracked BENCH_sweep.json.
+// It runs the registry only when asked:
 //
 //	HMCSIM_BENCH_RECORD=1 go test -run TestBenchSweep .
 //
-// One sample per experiment backs no performance claim; bench/README.md
-// describes the benchmark that does.
+// internal/exp's TestAllRunnersQuick checks that each runner names its
+// result. One sample per experiment backs no performance claim;
+// bench/README.md describes the benchmark that does.
 func TestBenchSweep(t *testing.T) {
+	if os.Getenv("HMCSIM_BENCH_RECORD") == "" {
+		return
+	}
 	type entry struct {
 		Name   string  `json:"name"`
 		Millis float64 `json:"millis"`
@@ -77,9 +82,6 @@ func TestBenchSweep(t *testing.T) {
 			Name:   r.Name(),
 			Millis: float64(time.Since(start).Microseconds()) / 1000,
 		})
-	}
-	if os.Getenv("HMCSIM_BENCH_RECORD") == "" {
-		return
 	}
 	blob, err := json.MarshalIndent(sweep, "", "  ")
 	if err != nil {
@@ -281,7 +283,7 @@ func BenchmarkAblationReadWriteMix(b *testing.B) {
 		})
 		sysM := core.NewSystem(cfg)
 		mixed := sysM.RunGUPS(core.GUPSSpec{
-			Ports: 9, Size: 128, Pattern: all(sysM), Kind: 2, // ReadWriteMix
+			Ports: 9, Size: 128, Pattern: all(sysM), Kind: traffic.ReadWriteMix,
 			Warmup: 15 * sim.Microsecond, Window: 40 * sim.Microsecond,
 		})
 		b.ReportMetric(readOnly.Bandwidth.GBpsValue(), "GB/s-readonly")

@@ -18,16 +18,16 @@ import (
 // attempts, and the benchmark's traffic-rw ports: open-loop zipf
 // traffic with writes.
 func TestSystemSteadyStateDoesNotAllocate(t *testing.T) {
-	gups := func(kind host.RequestKind, banks int) func(*testing.T, *System) {
+	gups := func(kind traffic.RequestKind, banks int) func(*testing.T, *System) {
 		return func(_ *testing.T, sys *System) {
 			pat := AllVaults()
 			if banks > 0 {
 				pat = sys.Banks(banks)
 			}
 			for i := 0; i < MaxPorts; i++ {
-				host.NewGUPSPort(sys.Eng, sys.Cfg.Host, sys.Ctrl, sys.Map, sys.nextPortID(), host.GUPSConfig{
-					Size: 128, Kind: kind, Mask: pat.Mask, Seed: sys.Cfg.Seed + uint64(i)*977,
-				}).Start()
+				id := sys.nextPortID()
+				gen := traffic.GUPS(pat.Mask, 128, sys.portSeed(i)+uint64(id)*0x9E3779B9+1, false, kind)
+				host.NewTrafficPort(sys.Eng, sys.Cfg.Host, sys.Ctrl, sys.Map, id, host.TrafficConfig{Size: 128, Gen: gen}).Start()
 			}
 		}
 	}
@@ -37,7 +37,7 @@ func TestSystemSteadyStateDoesNotAllocate(t *testing.T) {
 			Discipline: traffic.DisciplineOpen, RateGBps: 1.5,
 		}
 		for i := 0; i < MaxPorts; i++ {
-			gen, err := traffic.Compile(spec, 64, sys.Cfg.Seed+uint64(i)*977)
+			gen, err := traffic.Compile(spec, 64, sys.portSeed(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,8 +48,8 @@ func TestSystemSteadyStateDoesNotAllocate(t *testing.T) {
 		name  string
 		start func(*testing.T, *System)
 	}{
-		{"gups-spread", gups(host.ReadOnly, 0)},
-		{"gups-bank-mix", gups(host.ReadWriteMix, 2)},
+		{"gups-spread", gups(traffic.ReadOnly, 0)},
+		{"gups-bank-mix", gups(traffic.ReadWriteMix, 2)},
 		{"traffic-rw", trafficRW},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -5,6 +5,12 @@
 // (access counts, min/avg/max read latency, and counted
 // request+response bandwidth).
 //
+// RunGUPS and RunTraffic differ only in the generators they build:
+// traffic.GUPS for the GUPS firmware, a compiled traffic.Spec for
+// synthetic traffic. Both hand them to runPorts, which makes the
+// free-running host.TrafficPorts, starts them, measures a window and
+// stops them.
+//
 // Deprecated entry point: core used to be the repository's public face.
 // New code should use the top-level hmcsim package — its Workload
 // adapters (hmcsim.GUPS, hmcsim.Streams, hmcsim.TraceReplay) wrap the
@@ -32,6 +38,7 @@ import (
 	"hmcsim/internal/packet"
 	"hmcsim/internal/phys"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // Config assembles a full system.
@@ -137,9 +144,9 @@ func (s *System) SingleVault(v int) Pattern {
 
 // GUPSSpec configures a GUPS measurement run.
 type GUPSSpec struct {
-	Ports   int              // active ports, 1..9
-	Size    int              // request size in bytes
-	Kind    host.RequestKind // read-only by default
+	Ports   int                 // active ports, 1..9
+	Size    int                 // request size in bytes
+	Kind    traffic.RequestKind // read-only by default
 	Pattern Pattern
 	Linear  bool
 	Warmup  sim.Time // traffic before counters reset
@@ -195,52 +202,52 @@ func (s *System) RunGUPS(spec GUPSSpec) Result {
 	if spec.Window <= 0 {
 		panic("core: GUPS window must be positive")
 	}
-	var hmcLatSum sim.Time
-	var hmcLatN uint64
-	ports := make([]*host.GUPSPort, spec.Ports)
-	for i := range ports {
-		ports[i] = host.NewGUPSPort(s.Eng, s.Cfg.Host, s.Ctrl, s.Map, s.nextPortID(), host.GUPSConfig{
-			Size:   spec.Size,
-			Kind:   spec.Kind,
-			Mask:   spec.Pattern.Mask,
-			Linear: spec.Linear,
-			Seed:   s.Cfg.Seed + uint64(i)*977,
-			Tags:   spec.Tags,
-		})
-		ports[i].Mon.OnComplete = func(tr *packet.Transaction) {
-			hmcLatSum += tr.HMCLatency()
-			hmcLatN++
-		}
-		ports[i].Start()
+	gens := make([]*traffic.Gen, spec.Ports)
+	for i := range gens {
+		// The GUPS firmware seeds each port from its own seed and its
+		// port ID, which runPorts hands out in order.
+		id := uint64(s.portsMade + i)
+		seed := s.portSeed(i) + id*0x9E3779B9 + 1
+		gens[i] = traffic.GUPS(spec.Pattern.Mask, spec.Size, seed, spec.Linear, spec.Kind)
 	}
-
-	mons := make([]*host.Monitor, len(ports))
-	for i, p := range ports {
-		mons[i] = &p.Mon
-	}
-	res := s.measureWindow(spec.Warmup, spec.Window, mons, func() { hmcLatSum, hmcLatN = 0, 0 })
+	res := s.runPorts(gens, spec.Size, spec.Tags, spec.Warmup, spec.Window)
 	res.Spec = spec
-	for _, p := range ports {
-		p.Stop()
-	}
-	if hmcLatN > 0 {
-		res.AvgHMCLat = hmcLatSum / sim.Time(hmcLatN)
-	}
 	return res
 }
 
-// measureWindow is the measurement protocol shared by the GUPS and
-// traffic drivers: drive already-started ports through warm-up, clear
-// the monitors (onReset lets the caller zero its own accumulators at
-// the same instant), sample cube occupancy through the window for the
-// Little's-law analysis, and aggregate the monitors into a Result.
-func (s *System) measureWindow(warmup, window sim.Time, mons []*host.Monitor, onReset func()) Result {
+// portSeed is the seed of a run's i-th port.
+func (s *System) portSeed(i int) uint64 { return s.Cfg.Seed + uint64(i)*977 }
+
+// runPorts is the measurement RunGUPS and RunTraffic share. It makes
+// and starts one TrafficPort per generator and runs them through
+// warm-up.
+// Then it clears the monitors, samples cube occupancy through the
+// window for the Little's-law analysis, stops the ports and aggregates
+// their monitors into a Result.
+func (s *System) runPorts(gens []*traffic.Gen, size, tags int, warmup, window sim.Time) Result {
+	var hmcLatSum sim.Time
+	var hmcLatN uint64
+	ports := make([]*host.TrafficPort, len(gens))
+	for i, gen := range gens {
+		p := host.NewTrafficPort(s.Eng, s.Cfg.Host, s.Ctrl, s.Map, s.nextPortID(), host.TrafficConfig{
+			Size: size,
+			Gen:  gen,
+			Tags: tags,
+		})
+		p.Mon.OnComplete = func(tr *packet.Transaction) {
+			hmcLatSum += tr.HMCLatency()
+			hmcLatN++
+		}
+		p.Start()
+		ports[i] = p
+	}
+
 	start := s.Eng.Now()
 	s.Eng.Run(start + warmup)
-	for _, m := range mons {
-		m.Reset(s.Eng.Now())
+	for _, p := range ports {
+		p.Mon.Reset(s.Eng.Now())
 	}
-	onReset()
+	hmcLatSum, hmcLatN = 0, 0
 
 	occSamples := 0
 	occSum := 0.0
@@ -261,7 +268,9 @@ func (s *System) measureWindow(warmup, window sim.Time, mons []*host.Monitor, on
 
 	s.Eng.Run(stopAt)
 	res := Result{Window: window}
-	for _, m := range mons {
+	for _, p := range ports {
+		p.Stop()
+		m := &p.Mon
 		res.Reads += m.Reads
 		res.Writes += m.Writes
 		res.CountedBytes += m.CountedBytes
@@ -279,6 +288,9 @@ func (s *System) measureWindow(warmup, window sim.Time, mons []*host.Monitor, on
 	res.Bandwidth = phys.Rate(res.CountedBytes, window)
 	if occSamples > 0 {
 		res.HMCOutstanding = occSum / float64(occSamples)
+	}
+	if hmcLatN > 0 {
+		res.AvgHMCLat = hmcLatSum / sim.Time(hmcLatN)
 	}
 	return res
 }

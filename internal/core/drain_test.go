@@ -13,7 +13,9 @@ import (
 // checkDrained asserts the conservation laws every system obeys once its
 // ports have stopped and sys.Eng.Drain has returned: every request sent
 // was answered, every request link's tokens are back, the cube holds no
-// transaction, and no vault holds a request, a response or a TSV slot.
+// transaction, no message is left in a NoC router or channel (so every
+// bridge credit has come back), and no vault holds a request, a
+// response or a TSV slot.
 func checkDrained(t *testing.T, sys *System) {
 	t.Helper()
 	if s, r := sys.Ctrl.RequestsSent(), sys.Ctrl.ResponsesReceived(); s != r {
@@ -26,6 +28,9 @@ func checkDrained(t *testing.T, sys *System) {
 	}
 	if n := sys.HMC.InFlight(); n != 0 {
 		t.Errorf("%d transactions in flight in the cube", n)
+	}
+	if n := sys.HMC.Fabric().QueuedMessages(); n != 0 {
+		t.Errorf("%d messages left in NoC routers and channels (a bridge credit not back counts as one)", n)
 	}
 	for i := 0; i < addr.Vaults; i++ {
 		v := sys.HMC.Vault(i)
@@ -43,8 +48,8 @@ func checkDrained(t *testing.T, sys *System) {
 func TestBankBoundGUPSDrains(t *testing.T) {
 	for _, k := range []struct {
 		name string
-		kind host.RequestKind
-	}{{"reads", host.ReadOnly}, {"mix", host.ReadWriteMix}} {
+		kind traffic.RequestKind
+	}{{"reads", traffic.ReadOnly}, {"mix", traffic.ReadWriteMix}} {
 		for _, banks := range []int{1, 2, 16} {
 			t.Run(fmt.Sprintf("%s/banks%d", k.name, banks), func(t *testing.T) {
 				sys := NewSystem(DefaultConfig())

@@ -5,6 +5,7 @@ import (
 
 	"hmcsim/internal/host"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // StreamPorts returns n trace-driven ports, creating them on first use.
@@ -41,12 +42,13 @@ func (s *System) PlayStreams(traces [][]host.Request) []*host.StreamPort {
 }
 
 // RandomTrace builds n random read requests of the given size confined to
-// the pattern, using the system's block mapping for alignment.
+// the pattern: the first n addresses of traffic.GUPS's random law on it,
+// seeded with seed.
 func (s *System) RandomTrace(n, size int, pattern Pattern, seed uint64) []host.Request {
-	rng := sim.NewRand(seed)
+	gen := traffic.GUPS(pattern.Mask, size, seed, false, traffic.ReadOnly)
 	reqs := make([]host.Request, n)
 	for i := range reqs {
-		a := pattern.Mask.Apply(rng.Uint64()&(1<<32-1)) &^ uint64(size-1)
+		a, _ := gen.Next()
 		reqs[i] = host.Request{Addr: a, Size: size}
 	}
 	return reqs

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"hmcsim/internal/host"
-	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/traffic"
 )
@@ -19,14 +17,13 @@ type TrafficRunSpec struct {
 	Traffic traffic.Spec // pattern, mix, discipline, phases
 	Warmup  sim.Time     // traffic before counters reset
 	Window  sim.Time     // measurement window after warm-up
-	Tags    int          // per-port override; 0 = config default
 }
 
 // RunTraffic performs one synthetic-traffic experiment on a fresh set
-// of ports, sharing RunGUPS's measurement protocol (warm-up, counter
-// reset, sampled cube occupancy, aggregate monitors). Unlike RunGUPS it
-// returns an error instead of panicking on a bad spec, because traffic
-// specs arrive from CLI flags and daemon submissions, not just code.
+// of ports through the same runPorts as RunGUPS (warm-up, counter
+// reset, sampled cube occupancy, aggregate monitors). Unlike RunGUPS it returns an
+// error instead of panicking on a bad spec, because traffic specs
+// arrive from CLI flags and daemon submissions, not just code.
 func (s *System) RunTraffic(spec TrafficRunSpec) (Result, error) {
 	if spec.Ports <= 0 || spec.Ports > MaxPorts {
 		return Result{}, fmt.Errorf("core: %d ports out of range [1, %d]", spec.Ports, MaxPorts)
@@ -34,36 +31,12 @@ func (s *System) RunTraffic(spec TrafficRunSpec) (Result, error) {
 	if spec.Window <= 0 {
 		return Result{}, fmt.Errorf("core: traffic window must be positive")
 	}
-	var hmcLatSum sim.Time
-	var hmcLatN uint64
-	ports := make([]*host.TrafficPort, spec.Ports)
-	for i := range ports {
-		gen, err := traffic.Compile(spec.Traffic, spec.Size, s.Cfg.Seed+uint64(i)*977)
-		if err != nil {
+	gens := make([]*traffic.Gen, spec.Ports)
+	for i := range gens {
+		var err error
+		if gens[i], err = traffic.Compile(spec.Traffic, spec.Size, s.portSeed(i)); err != nil {
 			return Result{}, err
 		}
-		ports[i] = host.NewTrafficPort(s.Eng, s.Cfg.Host, s.Ctrl, s.Map, s.nextPortID(), host.TrafficConfig{
-			Size: spec.Size,
-			Gen:  gen,
-			Tags: spec.Tags,
-		})
-		ports[i].Mon.OnComplete = func(tr *packet.Transaction) {
-			hmcLatSum += tr.HMCLatency()
-			hmcLatN++
-		}
-		ports[i].Start()
 	}
-
-	mons := make([]*host.Monitor, len(ports))
-	for i, p := range ports {
-		mons[i] = &p.Mon
-	}
-	res := s.measureWindow(spec.Warmup, spec.Window, mons, func() { hmcLatSum, hmcLatN = 0, 0 })
-	for _, p := range ports {
-		p.Stop()
-	}
-	if hmcLatN > 0 {
-		res.AvgHMCLat = hmcLatSum / sim.Time(hmcLatN)
-	}
-	return res, nil
+	return s.runPorts(gens, spec.Size, 0, spec.Warmup, spec.Window), nil
 }

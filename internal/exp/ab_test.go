@@ -2,10 +2,38 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"hmcsim"
 )
+
+// quickRuns memoises each registered runner's quick-mode Result, so
+// the tests that only read it (TestABGuard, TestAllRunnersQuick) share
+// one run per runner. Each name has its own sync.Once, so whichever
+// test asks first runs it, in any test order.
+var quickRuns sync.Map // runner name -> *quickRun
+
+type quickRun struct {
+	once sync.Once
+	res  hmcsim.Result
+	err  error
+}
+
+// quickResult returns runner name's memoised quick-mode Result.
+func quickResult(t *testing.T, name string) hmcsim.Result {
+	t.Helper()
+	v, _ := quickRuns.LoadOrStore(name, new(quickRun))
+	q := v.(*quickRun)
+	q.once.Do(func() { q.res, q.err = Run(context.Background(), name, Options{Quick: true}) })
+	if q.err != nil {
+		t.Fatalf("%s: %v", name, q.err)
+	}
+	return q.res
+}
 
 // TestABGuard is the kernel-rewrite safety net: every registered
 // experiment's quick-mode Result JSON must be byte-identical to the
@@ -31,7 +59,10 @@ func TestABGuard(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			got := runJSON(t, name, Options{Quick: true})
+			got, err := quickResult(t, name).JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
 			path := filepath.Join("testdata", "ab", name+".json")
 			if update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {

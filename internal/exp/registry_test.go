@@ -88,17 +88,13 @@ func TestAllRegisteredRunnersObserveCancellation(t *testing.T) {
 	}
 }
 
-// TestAllRunnersQuick runs every registered experiment through the
-// registry under quick options and checks each result is well-formed
-// and JSON-marshalable — the contract `hmcsim -exp all -format json`
-// relies on.
+// TestAllRunnersQuick reads every registered experiment's quick-mode
+// Result (run once through the registry and shared with TestABGuard)
+// and checks each result is well-formed and JSON-marshalable — the
+// contract `hmcsim -exp all -format json` relies on.
 func TestAllRunnersQuick(t *testing.T) {
-	o := Options{Quick: true}
 	for _, r := range Runners() {
-		res, err := Run(ctx, r.Name(), o)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
-		}
+		res := quickResult(t, r.Name())
 		if res.Name != r.Name() {
 			t.Errorf("%s: result name %q", r.Name(), res.Name)
 		}

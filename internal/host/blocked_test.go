@@ -9,6 +9,7 @@ import (
 	"hmcsim/internal/link"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // fakeDev serves real request link directions to a controller. Its
@@ -343,11 +344,10 @@ func TestControllerDrainStrandsNoRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ports []*GUPSPort
+	var ports []*TrafficPort
 	for id := 0; id < 9; id++ {
-		ports = append(ports, NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, id, GUPSConfig{
-			Size: 128, Mask: mask, Seed: 11,
-		}))
+		seed := 11 + uint64(id)*0x9E3779B9 + 1 // one stream per port from base seed 11
+		ports = append(ports, NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, id, gupsConfig(128, traffic.ReadOnly, mask, seed)))
 	}
 	stop := 20 * sim.Microsecond
 	maxParked := 0

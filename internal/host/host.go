@@ -5,8 +5,10 @@
 //
 // Two firmware personalities are provided, matching the paper's Figure 5:
 //
-//   - GUPSPort: a free-running address generator issuing random or linear
-//     requests shaped by an address mask/anti-mask (Figure 5a).
+//   - TrafficPort: a free-running port that issues whatever a compiled
+//     traffic.Gen asks for. On traffic.GUPS, which issues random or
+//     linear requests shaped by an address mask/anti-mask, it is the
+//     GUPS port of Figure 5a.
 //   - StreamPort: a trace-driven port that issues a finite burst of
 //     requests and streams response data back to the host over a
 //     dedicated per-port channel (Figure 5b).

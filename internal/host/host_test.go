@@ -28,11 +28,15 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
+// gupsConfig configures a GUPS port: random size-byte requests of the
+// given kind, confined to mask and drawn from an RNG seeded with seed.
+func gupsConfig(size int, kind traffic.RequestKind, mask addr.Mask, seed uint64) TrafficConfig {
+	return TrafficConfig{Size: size, Gen: traffic.GUPS(mask, size, seed, false, kind)}
+}
+
 func TestGUPSPortIssuesAndCompletes(t *testing.T) {
 	r := newRig(t)
-	p := NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 32, Mask: addr.AllAccess, Seed: 5,
-	})
+	p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, gupsConfig(32, traffic.ReadOnly, addr.AllAccess, 6))
 	r.eng.Schedule(0, func() { p.Start() })
 	r.eng.Schedule(20*sim.Microsecond, func() { p.Stop() })
 	r.eng.Drain()
@@ -52,10 +56,9 @@ func TestGUPSPortIssuesAndCompletes(t *testing.T) {
 
 func TestGUPSTagPoolBoundsOutstanding(t *testing.T) {
 	r := newRig(t)
-	cfg := DefaultConfig()
-	p := NewGUPSPort(r.eng, cfg, r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 16, Mask: addr.AllAccess, Seed: 1, Tags: 8,
-	})
+	gups := gupsConfig(16, traffic.ReadOnly, addr.AllAccess, 2)
+	gups.Tags = 8
+	p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, gups)
 	maxOut := 0
 	r.eng.Schedule(0, func() { p.Start() })
 	var watch func()
@@ -84,9 +87,9 @@ func TestGUPSIssueRateOnePerCycle(t *testing.T) {
 	// cycle.
 	r := newRig(t)
 	cfg := DefaultConfig()
-	p := NewGUPSPort(r.eng, cfg, r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 16, Mask: addr.AllAccess, Seed: 1, Tags: 4096,
-	})
+	gups := gupsConfig(16, traffic.ReadOnly, addr.AllAccess, 2)
+	gups.Tags = 4096
+	p := NewTrafficPort(r.eng, cfg, r.ctrl, r.mapp, 0, gups)
 	r.eng.Schedule(0, func() { p.Start() })
 	window := 10 * sim.Microsecond
 	r.eng.Run(window)
@@ -107,9 +110,7 @@ func TestGUPSMaskConfinesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 64, Mask: mask, Seed: 3,
-	})
+	p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, gupsConfig(64, traffic.ReadOnly, mask, 4))
 	banks := map[int]bool{}
 	p.Mon.OnComplete = func(tr *packet.Transaction) {
 		if tr.Vault != 0 {
@@ -127,9 +128,7 @@ func TestGUPSMaskConfinesTraffic(t *testing.T) {
 
 func TestGUPSWriteOnlyUsesRequestDirection(t *testing.T) {
 	r := newRig(t)
-	p := NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 128, Kind: WriteOnly, Mask: addr.AllAccess, Seed: 2,
-	})
+	p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, gupsConfig(128, traffic.WriteOnly, addr.AllAccess, 3))
 	r.eng.Schedule(0, func() { p.Start() })
 	r.eng.Schedule(10*sim.Microsecond, func() { p.Stop() })
 	r.eng.Drain()
@@ -145,9 +144,7 @@ func TestGUPSWriteOnlyUsesRequestDirection(t *testing.T) {
 
 func TestGUPSReadWriteMix(t *testing.T) {
 	r := newRig(t)
-	p := NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 64, Kind: ReadWriteMix, Mask: addr.AllAccess, Seed: 2,
-	})
+	p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, gupsConfig(64, traffic.ReadWriteMix, addr.AllAccess, 3))
 	r.eng.Schedule(0, func() { p.Start() })
 	r.eng.Schedule(20*sim.Microsecond, func() { p.Stop() })
 	r.eng.Drain()
@@ -159,8 +156,8 @@ func TestGUPSReadWriteMix(t *testing.T) {
 
 func TestGUPSLinearMode(t *testing.T) {
 	r := newRig(t)
-	p := NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 128, Linear: true, Mask: addr.AllAccess,
+	p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, TrafficConfig{
+		Size: 128, Gen: traffic.GUPS(addr.AllAccess, 128, 1, true, traffic.ReadOnly),
 	})
 	var addrs []uint64
 	p.Mon.OnComplete = func(tr *packet.Transaction) { addrs = append(addrs, tr.Addr) }
@@ -273,9 +270,9 @@ func TestControllerSharedBudgetOrdersThroughput(t *testing.T) {
 	// traffic through the same engine.
 	rate := func(size int) float64 {
 		r := newRig(t)
-		p := NewGUPSPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, GUPSConfig{
-			Size: size, Mask: addr.AllAccess, Seed: 7, Tags: 1024,
-		})
+		gups := gupsConfig(size, traffic.ReadOnly, addr.AllAccess, 8)
+		gups.Tags = 1024
+		p := NewTrafficPort(r.eng, DefaultConfig(), r.ctrl, r.mapp, 0, gups)
 		r.eng.Schedule(0, func() { p.Start() })
 		window := 50 * sim.Microsecond
 		r.eng.Run(window)
@@ -379,9 +376,7 @@ func TestDrainedPortsHoldEveryTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gups := NewGUPSPort(r.eng, cfg, r.ctrl, r.mapp, 0, GUPSConfig{
-		Size: 128, Kind: ReadWriteMix, Mask: mask, Seed: 4,
-	})
+	gups := NewTrafficPort(r.eng, cfg, r.ctrl, r.mapp, 0, gupsConfig(128, traffic.ReadWriteMix, mask, 5))
 	gen, err := traffic.Compile(traffic.Spec{
 		Pattern: traffic.PatternZipf, ZipfTheta: 0.9, WriteFraction: 0.3, MixRunLength: 4,
 		Discipline: traffic.DisciplineOpen, RateGBps: 1.5,

@@ -7,20 +7,20 @@ import (
 	"hmcsim/internal/traffic"
 )
 
-// TrafficConfig shapes one synthetic-traffic port.
+// TrafficConfig shapes one free-running port.
 type TrafficConfig struct {
 	Size int          // request data size in bytes (16..128)
-	Gen  *traffic.Gen // compiled traffic generator (pattern, mix, phases)
+	Gen  *traffic.Gen // compiled generator: a traffic.Spec, or traffic.GUPS
 	Tags int          // outstanding-request bound; 0 means the config default
 }
 
-// TrafficPort drives a compiled traffic.Gen against the controller. It
-// is the third firmware personality beside GUPSPort and StreamPort:
-// like GUPS it free-runs on the FPGA clock, but the address stream, the
-// read/write mix, the phase script, and the injection discipline all
-// come from the generator — closed-loop ports issue every cycle while a
-// tag is free, open-loop ports meter issues through a token bucket
-// toward a target GB/s.
+// TrafficPort drives a compiled traffic.Gen against the controller: the
+// free-running firmware personality beside StreamPort. It runs on the
+// FPGA clock, and the address stream, the read/write mix, the phase
+// script and the injection discipline all come from the generator.
+// Closed-loop ports issue once per cycle while a tag is free; open-loop
+// ports meter issues through a token bucket toward a target GB/s. On a
+// traffic.GUPS generator it is the paper's GUPS port (Figure 5a).
 //
 // The steady-state issue path allocates nothing: the tick and phase
 // callbacks are bound once in Timers, transactions come from the port's
@@ -224,8 +224,9 @@ func (p *TrafficPort) issue(tr *packet.Transaction) {
 	p.ctrl.Submit(tr)
 }
 
-// complete implements the controller callback: like GUPS, response data
-// is discarded on the FPGA, so the transaction retires immediately.
+// complete implements the controller callback: as in the GUPS firmware,
+// response data is discarded on the FPGA, so the transaction retires
+// immediately.
 func (p *TrafficPort) complete(tr *packet.Transaction) {
 	tr.TDone = p.eng.Now()
 	p.Mon.record(tr)

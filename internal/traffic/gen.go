@@ -33,10 +33,10 @@ type PhaseInfo struct {
 
 // Gen is the runtime form of a Spec: an address generator, a read/write
 // mixer, and a resolved phase script, all fed by sub-streams split from
-// one splitmix64 seed. Next is allocation-free; a host port calls it
-// once per issued request.
+// one splitmix64 seed. GUPS builds one on the GUPS firmware's law
+// instead. Next is allocation-free; a host port calls it once per
+// issued request.
 type Gen struct {
-	size      int
 	closed    bool
 	baseRate  float64
 	base      generator
@@ -60,7 +60,6 @@ func Compile(spec Spec, size int, seed uint64) (*Gen, error) {
 	mixRNG := root.Split()
 
 	g := &Gen{
-		size:     size,
 		closed:   spec.Closed(),
 		baseRate: spec.RateGBps,
 		mix:      newMixer(mixRNG, spec.WriteFraction, spec.MixRunLength),

@@ -176,12 +176,15 @@ func (g *chaseGen) Next() uint64 {
 
 // --- read/write mixer ----------------------------------------------------
 
-// mixer decides each request's direction. With a run length it is a
-// two-state markov chain whose stationary write fraction matches the
-// spec; without one it draws directions independently.
+// mixer decides each request's direction. A write fraction of 0 or 1
+// fixes the direction without a draw, and GUPS's alternate mode
+// interleaves reads and writes, read first. Otherwise, with a run
+// length it is a two-state markov chain whose stationary write fraction
+// matches the spec; without one it draws directions independently.
 type mixer struct {
 	rng       *RNG
 	writeFrac float64
+	alternate bool
 	markov    bool
 	pLeaveW   float64 // P(write -> read)
 	pLeaveR   float64 // P(read -> write)
@@ -207,7 +210,16 @@ func newMixer(rng *RNG, writeFrac float64, runLength int) mixer {
 
 // next returns true when the next request is a write.
 func (m *mixer) next() bool {
-	if !m.markov {
+	switch {
+	case m.alternate:
+		w := m.write
+		m.write = !w
+		return w
+	case m.writeFrac == 0:
+		return false
+	case m.writeFrac == 1:
+		return true
+	case !m.markov:
 		return m.rng.Float64() < m.writeFrac
 	}
 	if !m.primed {

@@ -12,6 +12,11 @@
 // splitmix64 stream, so a (spec, seed) pair replays byte-identically —
 // which is what lets the hmcsimd service cache traffic experiments
 // under the same content-addressed Spec key as the paper figures.
+//
+// GUPS compiles the one law no Spec names: the paper's GUPS firmware,
+// masked random or linear addresses from a sim.Rand with fixed
+// directions. A host traffic port on it is the GUPS port of Figure 5a;
+// see GUPS for why the law stays outside the Spec library.
 package traffic
 
 import (

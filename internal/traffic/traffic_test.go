@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmcsim/internal/addr"
 	"hmcsim/internal/sim"
 )
 
@@ -444,9 +445,14 @@ func TestValidateForMatchesCompile(t *testing.T) {
 }
 
 // TestNextDoesNotAllocate is the hot-loop guard behind the CI bench
-// smoke: one request must cost zero heap allocations for every pattern.
+// smoke: one request must cost zero heap allocations for every pattern
+// and for the GUPS law.
 func TestNextDoesNotAllocate(t *testing.T) {
-	specs := map[string]Spec{
+	gens := map[string]*Gen{
+		"gups":        GUPS(addr.AllAccess, 128, 1, false, ReadWriteMix),
+		"gups-linear": GUPS(addr.AllAccess, 128, 1, true, WriteOnly),
+	}
+	for name, spec := range map[string]Spec{
 		"uniform":    {},
 		"stride":     {Pattern: PatternStride},
 		"sequential": {Pattern: PatternSequential},
@@ -454,12 +460,14 @@ func TestNextDoesNotAllocate(t *testing.T) {
 		"zipf":       {Pattern: PatternZipf, WorkingSetBytes: 1 << 20},
 		"chase":      {Pattern: PatternChase},
 		"mixed":      {WriteFraction: 0.5, MixRunLength: 8},
-	}
-	for name, spec := range specs {
+	} {
 		g, err := Compile(spec, 128, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		gens[name] = g
+	}
+	for name, g := range gens {
 		var sink uint64
 		allocs := testing.AllocsPerRun(1000, func() {
 			a, w := g.Next()
@@ -472,5 +480,77 @@ func TestNextDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: Next allocates %.1f per request, want 0", name, allocs)
 		}
 		_ = sink
+	}
+}
+
+// firmwareGUPS is the reference GUPS is held to: the GUPS firmware's
+// request law written out on its own, with one issue counter driving
+// ReadWriteMix's alternation.
+type firmwareGUPS struct {
+	size   int
+	kind   RequestKind
+	mask   addr.Mask
+	linear bool
+	rng    *sim.Rand
+	next   uint64
+	issued uint64
+}
+
+func (p *firmwareGUPS) generate() (uint64, bool) {
+	var raw uint64
+	if p.linear {
+		raw = p.next
+		p.next += uint64(p.size)
+	} else {
+		raw = p.rng.Uint64()
+	}
+	a := p.mask.Apply(raw&(addr.CubeBytes-1)) &^ uint64(p.size-1)
+	write := false
+	switch p.kind {
+	case WriteOnly:
+		write = true
+	case ReadWriteMix:
+		write = p.issued%2 == 1
+	}
+	p.issued++
+	return a, write
+}
+
+// TestGUPSMatchesFirmwareLaw holds GUPS to the reference law, request
+// by request, over random and linear addressing, whole-cube, bank and
+// single-vault masks, every RequestKind, two sizes and two seeds.
+func TestGUPSMatchesFirmwareLaw(t *testing.T) {
+	if g := GUPS(addr.AllAccess, 64, 1, false, ReadOnly); !g.Closed() || len(g.Phases()) != 0 {
+		t.Fatal("GUPS generator is not closed-loop without phases")
+	}
+	m := addr.MustMapping(128)
+	banks, err := m.BanksMask(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vault, err := m.SingleVaultMask(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := map[string]addr.Mask{"all": addr.AllAccess, "banks2": banks, "vault5": vault}
+	for _, linear := range []bool{false, true} {
+		for mname, mask := range masks {
+			for _, kind := range []RequestKind{ReadOnly, WriteOnly, ReadWriteMix} {
+				for _, size := range []int{32, 128} {
+					for _, seed := range []uint64{6, 0x9E3779B9*4 + 12} {
+						g := GUPS(mask, size, seed, linear, kind)
+						ref := &firmwareGUPS{size: size, kind: kind, mask: mask, linear: linear, rng: sim.NewRand(seed)}
+						for i := 0; i < 1000; i++ {
+							a, w := g.Next()
+							ra, rw := ref.generate()
+							if a != ra || w != rw {
+								t.Fatalf("linear=%v mask=%s kind=%d size=%d seed=%d: request %d is (%#x, %v), want (%#x, %v)",
+									linear, mname, kind, size, seed, i, a, w, ra, rw)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

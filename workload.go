@@ -8,6 +8,7 @@ import (
 	"hmcsim/internal/host"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // Measurement is what the monitoring logic reports for one workload
@@ -100,9 +101,9 @@ func (g GUPS) Name() string {
 
 // Run performs the measurement on a fresh set of ports.
 func (g GUPS) Run(sys *System) Measurement {
-	kind := host.ReadOnly
+	kind := traffic.ReadOnly
 	if g.Mix {
-		kind = host.ReadWriteMix
+		kind = traffic.ReadWriteMix
 	}
 	r := sys.RunGUPS(core.GUPSSpec{
 		Ports:   g.Ports,
@@ -221,8 +222,14 @@ type TraceSpec struct {
 
 // Generate materializes the trace.
 func (t TraceSpec) Generate() ([]Request, error) {
+	if t.N < 0 {
+		return nil, fmt.Errorf("hmcsim: trace length %d is negative", t.N)
+	}
 	if !packet.ValidSize(t.Size) {
 		return nil, fmt.Errorf("hmcsim: trace size %d must be a multiple of 16 in [16,128]", t.Size)
+	}
+	if !(t.Writes >= 0 && t.Writes <= 1) { // NaN fails both comparisons
+		return nil, fmt.Errorf("hmcsim: write fraction %g outside [0, 1]", t.Writes)
 	}
 	block := t.BlockSize
 	if block == 0 {
