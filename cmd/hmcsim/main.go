@@ -25,10 +25,11 @@
 // occupancy, link utilization, NoC hops, host tag-pool pressure —
 // after the results (text) or as a "trace" field wrapping them (json).
 //
-// -timeline file (local runs only) additionally samples per-component
-// activity — vault accepts, link flits, NoC hops, host tag traffic —
-// over simulated time and writes the run's timeline as Chrome
-// trace_event JSON, loadable at https://ui.perfetto.dev.
+// -timeline file (local runs only) traces the run the same way and
+// writes the tracers' per-component activity — vault accepts, link
+// flits, NoC hops, host tag traffic — over simulated time as Chrome
+// trace_event JSON, loadable at https://ui.perfetto.dev. Without
+// -trace, no summary prints.
 //
 // -spans (-server runs only) fetches each completed job's lifecycle
 // stage breakdown (received, queued, cache-check, running, marshal,
@@ -230,11 +231,11 @@ func runList(ctx context.Context, fleet *service.Fleet, stdout, stderr io.Writer
 }
 
 // runLocal simulates in this process, exactly the pre-daemon behavior.
-// With trace set, every system the experiments build carries
-// per-component tracers, and their aggregate summary prints after the
-// results (text) or wraps them as a "trace" field (json). With timeline
-// set, the systems additionally sample per-component activity over
-// simulated time, written as Chrome trace_event JSON after the run.
+// With trace or timeline set, every system the experiments build
+// carries per-component tracers feeding one collector. With trace set,
+// their aggregate summary prints after the results (text) or wraps them
+// as a "trace" field (json); with timeline set, their activity over
+// simulated time is written as Chrome trace_event JSON after the run.
 func runLocal(ctx context.Context, names []string, o exp.Options, format string, trace bool, timeline string, stdout, stderr io.Writer) int {
 	// Resolve every name before running anything: a typo late in the
 	// list must fail fast, not discard minutes of completed sweeps.
@@ -245,10 +246,9 @@ func runLocal(ctx context.Context, names []string, o exp.Options, format string,
 		}
 	}
 	var col *hmcsim.TraceCollector
-	if trace {
+	if trace || timeline != "" {
 		ctx, col = hmcsim.WithTrace(ctx)
 	}
-	var tlc *hmcsim.TimelineCollector
 	if timeline != "" {
 		// Fail on an unwritable path before simulating, not after.
 		f, err := os.Create(timeline)
@@ -256,9 +256,8 @@ func runLocal(ctx context.Context, names []string, o exp.Options, format string,
 			fmt.Fprintln(stderr, "hmcsim:", err)
 			return 2
 		}
-		ctx, tlc = hmcsim.WithTimeline(ctx)
 		defer func() {
-			err := tlc.WriteChromeTrace(f)
+			err := col.WriteChromeTrace(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -289,12 +288,12 @@ func runLocal(ctx context.Context, names []string, o exp.Options, format string,
 		}
 	}
 	if format == "json" {
-		if col != nil {
+		if trace {
 			return emitJSON(stdout, stderr, tracedResults{Results: results, Trace: col})
 		}
 		return emitJSON(stdout, stderr, results)
 	}
-	if col != nil {
+	if trace {
 		fmt.Fprintln(stdout, col)
 	}
 	return 0

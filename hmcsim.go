@@ -42,7 +42,6 @@ import (
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/host"
-	"hmcsim/internal/obs"
 	"hmcsim/internal/sim"
 )
 
@@ -134,10 +133,8 @@ const checkpointEvery = sim.DefaultCheckpointEvery
 //   - If ctx carries a WithProgress sink, the same checkpoints report
 //     simulation headway (events retired, simulated time advanced).
 //   - If ctx carries a WithTrace collector, the system is assembled
-//     with per-component tracers feeding that collector.
-//   - If ctx carries a WithTimeline collector, those tracers also
-//     record per-component activity over simulated time, for Chrome
-//     trace_event export.
+//     with per-component tracers feeding that collector, which keep
+//     both run totals and activity over simulated time.
 //
 // A background context with no sink and no collector yields a system
 // identical to NewSystem, with zero checkpoint overhead.
@@ -146,19 +143,7 @@ func (o Options) NewSystemCtx(ctx context.Context) *System {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	tc := collectorFrom(ctx)
-	tlc := timelineFrom(ctx)
-	switch {
-	case tlc != nil:
-		// One SystemTracer can serve both collectors; the timeline
-		// collector owns it so trace summaries stay unchanged.
-		st := tlc.col.NewSystem()
-		st.EnableTimeline(obs.NewTimeline(0))
-		if tc != nil {
-			tc.col.Register(st)
-		}
-		cfg.Trace = st
-	case tc != nil:
+	if tc := collectorFrom(ctx); tc != nil {
 		cfg.Trace = tc.col.NewSystem()
 	}
 	sys := NewSystem(cfg)

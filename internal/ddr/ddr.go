@@ -72,7 +72,6 @@ type Channel struct {
 	queue *sim.Queue[*Request]
 	bus   *sim.Server
 
-	served   uint64
 	busyBank []bool
 	waiters  []func()
 }
@@ -159,7 +158,6 @@ func (c *Channel) issue(req *Request, b int) {
 		c.bus.Reserve(c.cfg.BusBandwidth.TimeFor(size), func() {
 			c.eng.Schedule(c.cfg.CtrlLatency, func() {
 				req.Done = c.eng.Now()
-				c.served++
 				fn := req.fn
 				req.fn = nil
 				fn(req)
@@ -167,12 +165,3 @@ func (c *Channel) issue(req *Request, b int) {
 		})
 	})
 }
-
-// Served returns completed requests.
-func (c *Channel) Served() uint64 { return c.served }
-
-// Queued returns the controller queue occupancy.
-func (c *Channel) Queued() int { return c.queue.Len() }
-
-// BusUtilization reports the data bus busy fraction.
-func (c *Channel) BusUtilization(now sim.Time) float64 { return c.bus.Utilization(now) }

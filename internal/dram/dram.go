@@ -205,9 +205,6 @@ func (b *Bank) Access(now sim.Time, row uint64, size int) (dataDone, bankReady s
 	return dataDone, b.nextActivate
 }
 
-// Ready returns the earliest time a new activate may start.
-func (b *Bank) Ready() sim.Time { return b.nextActivate }
-
 // Accesses returns the total access count.
 func (b *Bank) Accesses() uint64 { return b.accesses }
 
@@ -216,6 +213,3 @@ func (b *Bank) RowHits() uint64 { return b.rowHits }
 
 // Refreshes returns how many refresh cycles the bank has performed.
 func (b *Bank) Refreshes() uint64 { return b.refreshes }
-
-// Policy returns the bank's page policy.
-func (b *Bank) Policy() PagePolicy { return b.policy }

@@ -255,13 +255,6 @@ func (h *HMC) Link(l int) *link.Link { return h.links[l] }
 // Links returns the number of external links.
 func (h *HMC) Links() int { return h.cfg.Links }
 
-// RequestsIn returns the number of request packets accepted from the
-// links.
-func (h *HMC) RequestsIn() uint64 { return h.reqsIn }
-
-// ResponsesOut returns the number of response packets sent to the host.
-func (h *HMC) ResponsesOut() uint64 { return h.respsOut }
-
 // InFlight returns the number of transactions currently inside the cube:
 // accepted from the links but not yet sent back. It is the quantity the
 // paper estimates with Little's law in Figure 14.

@@ -265,12 +265,6 @@ func (r *Router) deliver(i int) {
 	r.pump(i)
 }
 
-// SetOutlet wires output slot i after construction; the fabric builder
-// needs this because quadrant routers reference each other cyclically.
-func (r *Router) SetOutlet(i int, o Outlet) {
-	r.outlets[i].outlet = o
-}
-
 // SetChan replaces output slot i's queue/server/credit pipeline with a
 // bridge channel; messages routed to the slot are admitted against the
 // channel's credits and paced by its server instead.

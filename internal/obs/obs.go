@@ -130,8 +130,9 @@ type VaultTracer struct {
 	Rejects   uint64 // back-pressure rejections at the input buffer
 	Occupancy Hist   // requests waiting in the controller, sampled per accept
 
-	// Timeline tracks, attached only when the owning SystemTracer has a
-	// timeline enabled; nil otherwise, costing the hooks one branch.
+	// Timeline tracks, attached once the owning SystemTracer's clock is
+	// set; nil before that (and in a standalone tracer), costing the
+	// hooks one branch.
 	tl  *TimelineTrack // accepts over sim-time
 	tlR *TimelineTrack // rejects over sim-time (shared across vaults)
 	now func() int64
@@ -172,7 +173,7 @@ type LinkTracer struct {
 	Retries uint64
 	BusyPs  int64 // serializer-occupied simulated time
 
-	tl  *TimelineTrack // flits over sim-time, when a timeline is enabled
+	tl  *TimelineTrack // flits over sim-time, once the system clock is set
 	now func() int64
 }
 
@@ -212,7 +213,7 @@ type NoCTracer struct {
 	Stalls uint64 // bridge-channel admissions refused by an empty credit pool
 	Queue  Hist   // router occupancy sampled at each admission
 
-	tl  *TimelineTrack // hops over sim-time, when a timeline is enabled
+	tl  *TimelineTrack // hops over sim-time, once the system clock is set
 	tlS *TimelineTrack // credit stalls over sim-time
 	now func() int64
 }
@@ -254,7 +255,7 @@ type HostTracer struct {
 	TagWaits    uint64 // issue attempts blocked on an empty pool
 	Outstanding Hist   // outstanding tags sampled per acquisition
 
-	tl  *TimelineTrack // tag takes over sim-time, when a timeline is enabled
+	tl  *TimelineTrack // tag takes over sim-time, once the system clock is set
 	tlW *TimelineTrack // tag waits over sim-time
 	now func() int64
 }
@@ -288,9 +289,10 @@ func (t *HostTracer) OnTagWait() {
 	}
 }
 
-// SystemTracer aggregates the component tracers of one System. All of
-// its state is touched only by that system's single engine goroutine;
-// the Collector merges across systems after their runs complete.
+// SystemTracer aggregates the component tracers of one System and the
+// timeline of their activity over simulated time. All of its state is
+// touched only by that system's single engine goroutine; the Collector
+// merges across systems after their runs complete.
 type SystemTracer struct {
 	vaults []*VaultTracer
 	links  []*LinkTracer
@@ -299,38 +301,18 @@ type SystemTracer struct {
 	Host   HostTracer
 
 	now      func() int64 // the owning engine's clock, for utilization windows
-	timeline *Timeline    // optional time-resolved activity series
-}
-
-// EnableTimeline attaches a timeline; component tracers created (or
-// clocked) afterwards record their activity into per-component tracks.
-// Call before the system is constructed — i.e. before SetClock runs.
-func (t *SystemTracer) EnableTimeline(tl *Timeline) {
-	if t == nil {
-		return
-	}
-	t.timeline = tl
-}
-
-// Timeline returns the attached timeline, nil when disabled.
-func (t *SystemTracer) Timeline() *Timeline {
-	if t == nil {
-		return nil
-	}
-	return t.timeline
+	timeline *Timeline    // the components' activity over simulated time
 }
 
 // SetClock installs the owning engine's clock; the collector reads it
-// once per summary as the utilization window, and an enabled timeline
-// uses it to place samples on the sim-time axis.
+// once per summary as the utilization window, and the timeline uses it
+// to place samples on the sim-time axis. Component tracers created
+// before or after it get their timeline tracks alike.
 func (t *SystemTracer) SetClock(fn func() int64) {
 	if t == nil {
 		return
 	}
 	t.now = fn
-	if t.timeline == nil {
-		return
-	}
 	t.NoC.now = fn
 	t.NoC.tl = t.timeline.Track("noc hops")
 	t.NoC.tlS = t.timeline.Track("noc credit stalls")
@@ -346,7 +328,7 @@ func (t *SystemTracer) SetClock(fn func() int64) {
 }
 
 func (t *SystemTracer) attachVault(id int, vt *VaultTracer) {
-	if t.timeline == nil || t.now == nil {
+	if t.now == nil {
 		return
 	}
 	vt.now = t.now
@@ -355,7 +337,7 @@ func (t *SystemTracer) attachVault(id int, vt *VaultTracer) {
 }
 
 func (t *SystemTracer) attachLink(name string, lt *LinkTracer) {
-	if t.timeline == nil || t.now == nil {
+	if t.now == nil {
 		return
 	}
 	lt.now = t.now
@@ -400,22 +382,14 @@ type Collector struct {
 	systems []*SystemTracer
 }
 
-// NewSystem registers and returns a tracer for one new system. Safe to
-// call from concurrent sweep workers.
+// NewSystem registers and returns a tracer, with its own timeline, for
+// one new system. Safe to call from concurrent sweep workers.
 func (c *Collector) NewSystem() *SystemTracer {
-	t := &SystemTracer{}
-	c.Register(t)
-	return t
-}
-
-// Register adds an externally built tracer, letting one system report
-// into several collectors (e.g. a summary collector and a timeline
-// collector on the same run). Safe to call from concurrent sweep
-// workers.
-func (c *Collector) Register(t *SystemTracer) {
+	t := &SystemTracer{timeline: NewTimeline()}
 	c.mu.Lock()
 	c.systems = append(c.systems, t)
 	c.mu.Unlock()
+	return t
 }
 
 // Systems returns how many systems have registered.

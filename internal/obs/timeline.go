@@ -21,8 +21,8 @@ import (
 // fold, comfortably past the paper's measurement windows.
 const TimelineBuckets = 256
 
-// DefaultTimelineWidthPs is the initial bucket width (~1 µs of
-// simulated time) used when NewTimeline is given a non-positive width.
+// DefaultTimelineWidthPs is every timeline's initial bucket width
+// (~1 µs of simulated time).
 const DefaultTimelineWidthPs = 1 << 20
 
 // Timeline owns the shared bucket geometry of a set of tracks. All of
@@ -33,21 +33,10 @@ type Timeline struct {
 	tracks  []*TimelineTrack
 }
 
-// NewTimeline returns a timeline with the given initial bucket width in
-// picoseconds; non-positive widths select DefaultTimelineWidthPs.
-func NewTimeline(widthPs int64) *Timeline {
-	if widthPs <= 0 {
-		widthPs = DefaultTimelineWidthPs
-	}
-	return &Timeline{widthPs: widthPs}
-}
-
-// WidthPs returns the current bucket width; it doubles on every fold.
-func (tl *Timeline) WidthPs() int64 {
-	if tl == nil {
-		return 0
-	}
-	return tl.widthPs
+// NewTimeline returns an empty timeline whose buckets start
+// DefaultTimelineWidthPs wide.
+func NewTimeline() *Timeline {
+	return &Timeline{widthPs: DefaultTimelineWidthPs}
 }
 
 // Track returns (creating on demand) the named activity series. Safe on
@@ -65,14 +54,6 @@ func (tl *Timeline) Track(name string) *TimelineTrack {
 	tr := &TimelineTrack{tl: tl, Name: name}
 	tl.tracks = append(tl.tracks, tr)
 	return tr
-}
-
-// Tracks returns the registered tracks in creation order.
-func (tl *Timeline) Tracks() []*TimelineTrack {
-	if tl == nil {
-		return nil
-	}
-	return tl.tracks
 }
 
 // fold halves the resolution: bucket width doubles and adjacent buckets
@@ -149,23 +130,18 @@ type chromeTrace struct {
 
 // WriteChromeTrace renders every registered system's timeline as
 // Chrome trace_event JSON (counter events over simulated time, one
-// process per system), loadable in Perfetto or chrome://tracing.
-// Systems without a timeline are skipped; with none at all the output
-// is still a valid empty trace. Timestamps map simulated picoseconds
-// onto the format's microsecond axis.
+// process per system), loadable in Perfetto or chrome://tracing. With
+// no system at all the output is still a valid empty trace.
+// Timestamps map simulated picoseconds onto the format's microsecond
+// axis.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	c.mu.Lock()
 	systems := append([]*SystemTracer(nil), c.systems...)
 	c.mu.Unlock()
 
 	out := chromeTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
-	pid := 0
-	for _, sys := range systems {
-		tl := sys.Timeline()
-		if tl == nil {
-			continue
-		}
-		pid++
+	for k, sys := range systems {
+		pid, tl := k+1, sys.timeline
 		named := false
 		for _, tr := range tl.tracks {
 			if tr.Total() == 0 {

@@ -7,11 +7,12 @@ import (
 )
 
 func TestTimelineBucketing(t *testing.T) {
-	tl := NewTimeline(1000)
+	const w = DefaultTimelineWidthPs
+	tl := NewTimeline()
 	tr := tl.Track("a")
 	tr.Add(0, 1)
-	tr.Add(999, 2)
-	tr.Add(1000, 5)
+	tr.Add(w-1, 2)
+	tr.Add(w, 5)
 	tr.Add(-50, 1) // negative times clamp to the first bucket
 	if tr.counts[0] != 4 {
 		t.Fatalf("bucket 0 = %d, want 4", tr.counts[0])
@@ -27,12 +28,16 @@ func TestTimelineBucketing(t *testing.T) {
 	}
 }
 
+// TestTimelineDefaultWidth: every tracer the collector builds carries
+// its own timeline, starting at the default bucket width.
 func TestTimelineDefaultWidth(t *testing.T) {
-	if w := NewTimeline(0).WidthPs(); w != DefaultTimelineWidthPs {
-		t.Fatalf("default width = %d, want %d", w, DefaultTimelineWidthPs)
+	var c Collector
+	a, b := c.NewSystem(), c.NewSystem()
+	if a.timeline == nil || b.timeline == nil || a.timeline == b.timeline {
+		t.Fatal("systems do not each carry their own timeline")
 	}
-	if w := NewTimeline(-7).WidthPs(); w != DefaultTimelineWidthPs {
-		t.Fatalf("negative width = %d, want %d", w, DefaultTimelineWidthPs)
+	if w := a.timeline.widthPs; w != DefaultTimelineWidthPs {
+		t.Fatalf("default width = %d, want %d", w, DefaultTimelineWidthPs)
 	}
 }
 
@@ -40,18 +45,19 @@ func TestTimelineDefaultWidth(t *testing.T) {
 // doubles the bucket width (possibly repeatedly) without losing any
 // previously recorded counts, on every track of the timeline.
 func TestTimelineFoldPreservesTotals(t *testing.T) {
-	tl := NewTimeline(1000)
+	const w0 = DefaultTimelineWidthPs
+	tl := NewTimeline()
 	a := tl.Track("a")
 	b := tl.Track("b")
 	for i := 0; i < TimelineBuckets; i++ {
-		a.Add(int64(i)*1000, 1)
+		a.Add(int64(i)*w0, 1)
 	}
 	b.Add(0, 3)
 
 	// One step past the range: exactly one fold.
-	a.Add(1000*TimelineBuckets, 1)
-	if tl.WidthPs() != 2000 {
-		t.Fatalf("width after fold = %d, want 2000", tl.WidthPs())
+	a.Add(w0*TimelineBuckets, 1)
+	if tl.widthPs != 2*w0 {
+		t.Fatalf("width after fold = %d, want %d", tl.widthPs, 2*w0)
 	}
 	if a.Total() != TimelineBuckets+1 {
 		t.Fatalf("track a total after fold = %d, want %d", a.Total(), TimelineBuckets+1)
@@ -61,9 +67,9 @@ func TestTimelineFoldPreservesTotals(t *testing.T) {
 	}
 
 	// A sample far in the future folds repeatedly until it fits.
-	far := int64(1) << 40
+	far := int64(1) << 50
 	a.Add(far, 2)
-	w := tl.WidthPs()
+	w := tl.widthPs
 	if far >= w*TimelineBuckets {
 		t.Fatalf("width %d still does not cover t=%d", w, far)
 	}
@@ -79,9 +85,6 @@ func TestTimelineFoldPreservesTotals(t *testing.T) {
 // a nil timeline yields nil tracks whose Add/Total are no-ops.
 func TestTimelineNilSafe(t *testing.T) {
 	var tl *Timeline
-	if tl.WidthPs() != 0 || tl.Tracks() != nil {
-		t.Fatal("nil timeline accessors not zero-valued")
-	}
 	tr := tl.Track("x")
 	if tr != nil {
 		t.Fatal("nil timeline returned a non-nil track")
@@ -95,12 +98,12 @@ func TestTimelineNilSafe(t *testing.T) {
 // TestTimelineAddDoesNotAllocate: recording — including the fold path —
 // rewrites fixed arrays only.
 func TestTimelineAddDoesNotAllocate(t *testing.T) {
-	tl := NewTimeline(1000)
+	tl := NewTimeline()
 	tr := tl.Track("a")
 	var tick int64
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Add(tick, 1)
-		tick += 500 * TimelineBuckets // forces periodic folds
+		tick += DefaultTimelineWidthPs / 2 * TimelineBuckets // forces periodic folds
 	})
 	if allocs != 0 {
 		t.Fatalf("Add allocated %.1f/op, want 0", allocs)
@@ -112,39 +115,12 @@ func TestTimelineAddDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestDisabledTimelineIsZeroAlloc pins the engine-hot-path deal for the
-// timeline sampler: a clocked SystemTracer WITHOUT a timeline attached
-// runs every hook allocation-free, exactly like PR 6's tracers.
-func TestDisabledTimelineIsZeroAlloc(t *testing.T) {
-	var c Collector
-	st := c.NewSystem()
-	st.SetClock(func() int64 { return 42 })
-	vt := st.Vault(0)
-	lt := st.Link("link0.req")
-	allocs := testing.AllocsPerRun(1000, func() {
-		vt.OnAccept(3)
-		vt.OnReject()
-		lt.OnTx(9, 1234)
-		lt.OnRetry(1234)
-		st.NoC.OnHop(2)
-		st.Host.OnTagTake(17)
-		st.Host.OnTagWait()
-	})
-	if allocs != 0 {
-		t.Fatalf("hooks with timeline disabled allocated %.1f/op, want 0", allocs)
-	}
-	if st.Timeline() != nil {
-		t.Fatal("timeline unexpectedly enabled")
-	}
-}
-
-// TestEnabledTimelineHooksDoNotAllocate: even with a timeline attached,
-// the per-event cost stays allocation-free (tracks are preallocated at
+// TestEnabledTimelineHooksDoNotAllocate: a clocked system tracer
+// records into its timeline allocation-free (tracks are preallocated at
 // attach time).
 func TestEnabledTimelineHooksDoNotAllocate(t *testing.T) {
 	var c Collector
 	st := c.NewSystem()
-	st.EnableTimeline(NewTimeline(1000))
 	var tick int64
 	st.SetClock(func() int64 { return tick })
 	vt := st.Vault(0)
@@ -157,15 +133,15 @@ func TestEnabledTimelineHooksDoNotAllocate(t *testing.T) {
 		st.NoC.OnHop(2)
 		st.Host.OnTagTake(17)
 		st.Host.OnTagWait()
-		tick += 700
+		tick += DefaultTimelineWidthPs * 7 / 10
 	})
 	if allocs != 0 {
-		t.Fatalf("hooks with timeline enabled allocated %.1f/op, want 0", allocs)
+		t.Fatalf("hooks recording a timeline allocated %.1f/op, want 0", allocs)
 	}
-	if got := st.Timeline().Track("vault 0").Total(); got == 0 {
+	if got := st.timeline.Track("vault 0").Total(); got == 0 {
 		t.Fatal("vault track recorded nothing")
 	}
-	if got := st.Timeline().Track("link0.req flits").Total(); got == 0 {
+	if got := st.timeline.Track("link0.req flits").Total(); got == 0 {
 		t.Fatal("link track recorded nothing")
 	}
 }
@@ -175,16 +151,15 @@ func TestEnabledTimelineHooksDoNotAllocate(t *testing.T) {
 func TestTimelineAttachOrderIndependent(t *testing.T) {
 	var c Collector
 	st := c.NewSystem()
-	st.EnableTimeline(NewTimeline(1000))
 	early := st.Vault(0) // before SetClock
 	st.SetClock(func() int64 { return 10 })
 	late := st.Vault(1) // after SetClock
 	early.OnAccept(1)
 	late.OnAccept(1)
-	if st.Timeline().Track("vault 0").Total() != 1 {
+	if st.timeline.Track("vault 0").Total() != 1 {
 		t.Fatal("pre-clock vault not attached to the timeline")
 	}
-	if st.Timeline().Track("vault 1").Total() != 1 {
+	if st.timeline.Track("vault 1").Total() != 1 {
 		t.Fatal("post-clock vault not attached to the timeline")
 	}
 }
@@ -192,19 +167,17 @@ func TestTimelineAttachOrderIndependent(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	var c Collector
 	st := c.NewSystem()
-	st.EnableTimeline(NewTimeline(1000))
 	var tick int64
 	st.SetClock(func() int64 { return tick })
 	vt := st.Vault(0)
 	lt := st.Link("link0.req")
 	for i := 0; i < 10; i++ {
-		tick = int64(i) * 1000
+		tick = int64(i) * DefaultTimelineWidthPs
 		vt.OnAccept(2)
 		lt.OnTx(9, 600)
 	}
 	// A second, untouched system must not emit events.
 	quiet := c.NewSystem()
-	quiet.EnableTimeline(NewTimeline(1000))
 	quiet.SetClock(func() int64 { return 0 })
 
 	var buf bytes.Buffer
@@ -272,11 +245,11 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 }
 
 func BenchmarkTimelineAdd(b *testing.B) {
-	tl := NewTimeline(1000)
+	tl := NewTimeline()
 	tr := tl.Track("bench")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Add(int64(i), 1)
+		tr.Add(int64(i)*(DefaultTimelineWidthPs/1000), 1)
 	}
 }

@@ -113,12 +113,11 @@ type TokenPool struct {
 	total     int
 	available int
 	waiters   Waiters
-	minAvail  int
 }
 
 // NewTokenPool returns a pool holding n tokens.
 func NewTokenPool(n int) *TokenPool {
-	return &TokenPool{total: n, available: n, minAvail: n}
+	return &TokenPool{total: n, available: n}
 }
 
 // Total returns the configured token count.
@@ -126,9 +125,6 @@ func (p *TokenPool) Total() int { return p.total }
 
 // Available returns the number of free tokens.
 func (p *TokenPool) Available() int { return p.available }
-
-// MinAvailable returns the low-water mark, useful for sizing buffers.
-func (p *TokenPool) MinAvailable() int { return p.minAvail }
 
 // TryAcquire takes n tokens if they are all available.
 //
@@ -138,9 +134,6 @@ func (p *TokenPool) TryAcquire(n int) bool {
 		return false
 	}
 	p.available -= n
-	if p.available < p.minAvail {
-		p.minAvail = p.available
-	}
 	return true
 }
 

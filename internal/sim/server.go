@@ -9,7 +9,6 @@ type Server struct {
 	free Time // earliest time the next reservation may start
 
 	busyArea float64 // integral of busy time, for utilization
-	served   uint64
 }
 
 // NewServer returns a Server bound to eng, idle at time zero.
@@ -28,26 +27,11 @@ func (s *Server) Reserve(dur Time, done func()) Time {
 	end := start + dur
 	s.free = end
 	s.busyArea += float64(dur)
-	s.served++
 	if done != nil {
 		s.eng.At(end, done)
 	}
 	return end
 }
-
-// NextFree returns the earliest time a new reservation could start.
-func (s *Server) NextFree() Time {
-	if s.free < s.eng.Now() {
-		return s.eng.Now()
-	}
-	return s.free
-}
-
-// Busy reports whether the server has outstanding reservations.
-func (s *Server) Busy() bool { return s.free > s.eng.Now() }
-
-// Served returns the number of completed or in-flight reservations.
-func (s *Server) Served() uint64 { return s.served }
 
 // Utilization returns the fraction of [0, now] the server was busy.
 func (s *Server) Utilization(now Time) float64 {

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"hmcsim/internal/host"
+	"hmcsim/internal/packet"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -161,4 +163,38 @@ func TestReadFuncValidates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("err = %v, want line-1 size error", err)
 	}
+}
+
+// FuzzReadFunc feeds ReadFunc arbitrary trace text. It must never
+// panic, every request it hands over must have a size the packet layer
+// can carry, and a trace it accepts whole must read back unchanged
+// after Write. The seed corpus lives in testdata/fuzz/FuzzReadFunc; go
+// test runs it as an ordinary test. To fuzz further:
+//
+//	go test -run '^$' -fuzz '^FuzzReadFunc$' -fuzztime 30s ./internal/trace/
+func FuzzReadFunc(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		var got []host.Request
+		err := ReadFunc(strings.NewReader(src), func(r host.Request) error {
+			if !packet.ValidSize(r.Size) {
+				t.Fatalf("accepted request %+v with an invalid size", r)
+			}
+			got = append(got, r)
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		if err := Write(&b, got); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("written trace %q does not read back: %v", b.String(), err)
+		}
+		if !slices.Equal(back, got) {
+			t.Fatalf("trace %q read as %+v, written and read again as %+v", src, got, back)
+		}
+	})
 }

@@ -148,6 +148,16 @@ type Phase struct {
 	Off bool `json:"off,omitempty"`
 }
 
+// Phase lengths are bounded in simulated microseconds. A phase shorter
+// than a nanosecond can round to no time, and a long enough one
+// overflows sim.Time; either would re-arm the phase clock at the same
+// instant forever. 1,000 s is far past any run and keeps the end of
+// every phase well inside sim.Time.
+const (
+	minPhaseUs = 0.001
+	maxPhaseUs = 1e9
+)
+
 // maxChaseNodes bounds the pointer-chase table (16 M nodes = 64 MiB of
 // uint32 links — per port, so a max-size multi-port job still costs
 // hundreds of MiB) so a hostile spec cannot balloon daemon memory.
@@ -226,8 +236,8 @@ func (s Spec) ValidateFor(size int) error {
 		if !validPattern(p.Pattern) {
 			return &UnknownPatternError{Name: p.Pattern}
 		}
-		if p.DurationUs <= 0 {
-			return fmt.Errorf("traffic: phase %d duration %g us must be positive", i, p.DurationUs)
+		if !(p.DurationUs >= minPhaseUs && p.DurationUs <= maxPhaseUs) {
+			return fmt.Errorf("traffic: phase %d duration %g us outside [%g, %g]", i, p.DurationUs, minPhaseUs, maxPhaseUs)
 		}
 		if p.RateGBps != 0 && s.Closed() {
 			return fmt.Errorf("traffic: phase %d rateGBps is open-loop only; set discipline to %q", i, DisciplineOpen)

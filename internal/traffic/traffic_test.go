@@ -71,6 +71,8 @@ func TestValidateRejectsBadParameters(t *testing.T) {
 		"rate on closed loop":  {RateGBps: 4},
 		"phase rate on closed": {Phases: []Phase{{DurationUs: 10, RateGBps: 4}, {DurationUs: 10, Off: true}}},
 		"zero-length phase":    {Phases: []Phase{{DurationUs: 0}}},
+		"sub-ns phase":         {Phases: []Phase{{DurationUs: 1e-7}}},
+		"overflowing phase":    {Phases: []Phase{{DurationUs: 1e300}}},
 		"tiny working set":     {WorkingSetBytes: 128},
 		"oversized hot set":    {HotSetBytes: 8 << 30},
 		"oversized workingset": {WorkingSetBytes: 8 << 30},
@@ -101,6 +103,11 @@ func TestValidateRejectsBadParameters(t *testing.T) {
 	}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+	for _, us := range []float64{minPhaseUs, maxPhaseUs} {
+		if err := (Spec{Phases: []Phase{{DurationUs: us}}}).Validate(); err != nil {
+			t.Errorf("%g us phase rejected: %v", us, err)
+		}
 	}
 	// Open-loop is fine without a base rate when every active phase
 	// carries one.

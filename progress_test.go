@@ -1,9 +1,11 @@
 // Tests for the observability wiring of the public API: progress
-// sinks, trace collectors, and context-cancellation checkpoints in
-// systems built with Options.NewSystemCtx.
+// sinks, trace collectors and their Chrome trace_event export, and
+// context-cancellation checkpoints in systems built with
+// Options.NewSystemCtx.
 package hmcsim_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -145,6 +147,65 @@ func TestWithTraceCollectsComponentActivity(t *testing.T) {
 	}
 	if sum.Host.TagTakes == 0 {
 		t.Error("traced run recorded zero host tag takes")
+	}
+}
+
+// TestWithTraceWritesChromeTrace: the systems traced under WithTrace
+// export their activity over simulated time as Chrome trace_event JSON,
+// one counter series per component.
+func TestWithTraceWritesChromeTrace(t *testing.T) {
+	ctx, col := hmcsim.WithTrace(context.Background())
+	o := hmcsim.Options{Quick: true}
+	hmcsim.GUPS{
+		Ports: 2, Size: 128, Pattern: hmcsim.AllVaults,
+		Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
+	}.Run(o.NewSystemCtx(ctx))
+
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("write chrome trace: %v", err)
+	}
+	var out struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+		} `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	counters := map[string]int{}
+	for _, ev := range out.TraceEvents {
+		if ev.Ph == "C" {
+			counters[ev.Name]++
+		}
+	}
+	if len(counters) == 0 {
+		t.Fatal("trace has no counter events")
+	}
+	for _, want := range []string{"vault 0", "noc hops", "host tags"} {
+		if counters[want] == 0 {
+			t.Errorf("trace missing counter series %q; have %v", want, counters)
+		}
+	}
+}
+
+// TestWithTraceEmptyRunStillValid: a run that builds no systems must
+// still export a valid (empty) trace — the table1 smoke case.
+func TestWithTraceEmptyRunStillValid(t *testing.T) {
+	_, col := hmcsim.WithTrace(context.Background())
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatalf("empty trace is not valid JSON: %v", err)
+	}
+	if string(out["traceEvents"]) != "[]" {
+		t.Fatalf("traceEvents = %s, want []", out["traceEvents"])
 	}
 }
 

@@ -1,12 +1,14 @@
 package hmcsim_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hmcsim"
+	"hmcsim/internal/traffic"
 )
 
 func TestResultJSONRoundTrip(t *testing.T) {
@@ -279,4 +281,51 @@ func TestSpecKeyPreservesLargeSeeds(t *testing.T) {
 	if back.Options.Seed != a.Options.Seed {
 		t.Fatalf("canonical form altered the seed: %d -> %d", a.Options.Seed, back.Options.Seed)
 	}
+}
+
+// FuzzSpec decodes arbitrary bytes as hmcsimd's job endpoints do (one
+// JSON object, unknown fields rejected). Whatever Validate accepts must
+// have a content key that survives a marshal/unmarshal round trip, and
+// a traffic spec must compile into phases that each last some simulated
+// time. The seed corpus lives in testdata/fuzz/FuzzSpec; go test runs
+// it as an ordinary test. To fuzz further:
+//
+//	go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 30s .
+func FuzzSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var s hmcsim.Spec
+		if dec.Decode(&s) != nil || s.Validate() != nil {
+			return
+		}
+		key, err := s.Key()
+		if err != nil {
+			t.Fatalf("valid spec %s has no key: %v", raw, err)
+		}
+		blob, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("valid spec %s does not marshal: %v", raw, err)
+		}
+		var back hmcsim.Spec
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatalf("marshalled spec %s does not unmarshal: %v", blob, err)
+		}
+		if again, err := back.Key(); err != nil || again != key {
+			t.Fatalf("key of %s changed in a round trip: %s -> %s (%v)", raw, key, again, err)
+		}
+		o := s.Options
+		if o.Traffic == nil {
+			return
+		}
+		g, err := traffic.Compile(*o.Traffic, 128, o.Seed)
+		if err != nil {
+			t.Fatalf("valid traffic spec %s does not compile: %v", raw, err)
+		}
+		for i, p := range g.Phases() {
+			if p.Duration <= 0 {
+				t.Fatalf("spec %s: phase %d compiled to duration %d ps", raw, i, p.Duration)
+			}
+		}
+	})
 }
