@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper, plus
-// ablations of the design choices DESIGN.md calls out. Each benchmark
+// ablations of the model's design choices: bank queue depth, page
+// policy, link count, NoC buffering and the read/write mix. Each benchmark
 // runs the corresponding experiment on reduced (Quick) sweeps and reports
 // its headline numbers as custom metrics, so
 //

@@ -16,7 +16,9 @@ import (
 // gups-spread), bank-bound GUPS over 2 banks mixing reads and writes,
 // whose requests park for link tokens and whose writes fail send
 // attempts, and the benchmark's traffic-rw ports: open-loop zipf
-// traffic with writes.
+// traffic with writes. On saturated GUPS the host controller's jobs
+// ring, where packet-engine completions wait their turn to be queued,
+// runs at its high-water mark.
 func TestSystemSteadyStateDoesNotAllocate(t *testing.T) {
 	gups := func(kind traffic.RequestKind, banks int) func(*testing.T, *System) {
 		return func(_ *testing.T, sys *System) {

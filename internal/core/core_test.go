@@ -34,6 +34,20 @@ func TestRunGUPSBasics(t *testing.T) {
 	}
 }
 
+// TestGUPSSpreadQueueStaysShort runs the benchmark's gups-spread
+// setup: nine 128 B GUPS ports over all vaults, 30 us of warm-up and a
+// 120 us window. The saturated host packet engine books its jobs
+// microseconds ahead, but the controller queues only the oldest job's
+// completion, so few events are left queued at the end. Queueing every
+// completion at booking left 730 pending.
+func TestGUPSSpreadQueueStaysShort(t *testing.T) {
+	sys := NewSystem(DefaultConfig())
+	sys.RunGUPS(GUPSSpec{Ports: 9, Size: 128, Pattern: AllVaults(), Warmup: 30 * sim.Microsecond, Window: 120 * sim.Microsecond})
+	if n := sys.Eng.Pending(); n > 200 {
+		t.Fatalf("%d events pending after the run, want at most 200", n)
+	}
+}
+
 func TestRunGUPSDeterminism(t *testing.T) {
 	run := func() Result {
 		sys := NewSystem(DefaultConfig())

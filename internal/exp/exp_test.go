@@ -11,7 +11,7 @@ import (
 
 // The tests in this file assert the paper's qualitative findings — curve
 // orderings, plateaus, crossovers — on reduced (Quick) sweeps. Absolute
-// numbers live in EXPERIMENTS.md.
+// numbers are pinned by the AB goldens in testdata/ab (see ab_test.go).
 
 var (
 	quick = Options{Quick: true}

@@ -24,7 +24,8 @@ import (
 )
 
 // Config holds the host-side calibration constants. They are the single
-// source of truth for the FPGA model and are documented in DESIGN.md.
+// source of truth for the FPGA model; each field's comment gives the
+// paper's figure or section it reproduces.
 type Config struct {
 	// FPGAClockHz is the fabric clock; the AC-510 design runs at
 	// 187.5 MHz, which is why nine parallel ports are needed to source
@@ -116,7 +117,12 @@ type Controller struct {
 	slotTime sim.Time
 	rr       int
 
-	jobs     sim.Ring[ctrlJob] // on the packet engine, FIFO by Reserve order
+	// jobs holds the packets booked on the packet engine, in booking
+	// order, which is the order they finish in. Only the head's
+	// completion is queued, as engineFn at its booked (end, key); the
+	// rest wait here, because a saturated packet engine books
+	// microseconds ahead, beyond the calendar's horizon.
+	jobs     sim.Ring[ctrlJob]
 	engineFn func()
 	txq      sim.Ring[*packet.Packet] // in the Tx pipeline (constant TxLatency)
 	txFn     func()
@@ -142,6 +148,8 @@ type Controller struct {
 type ctrlJob struct {
 	pkt  *packet.Packet
 	resp bool
+	end  sim.Time // when the packet engine finishes it
+	key  uint64   // the ordering key its completion fires under
 }
 
 // NewController builds the controller for the given device.
@@ -189,16 +197,34 @@ func (c *Controller) register(id int, p completer) {
 // pools, so Submit never rejects.
 func (c *Controller) Submit(tr *packet.Transaction) {
 	tr.TPortOut = c.eng.Now()
-	pkt := tr.RequestPacket(tr.Tag)
-	c.jobs.Push(ctrlJob{pkt: pkt})
-	c.engine.Reserve(c.service(pkt), c.engineFn)
+	c.book(tr.RequestPacket(tr.Tag), false)
 }
 
-// engineDone fires when the packet engine finishes its oldest
-// reservation; reservations complete in Reserve order, so the head of
-// the job ring is the packet that just finished processing.
+// book reserves the packet engine for pkt and takes its completion's
+// ordering key now, as the eager At of Reserve(dur, engineFn) would.
+// It queues the completion only when pkt is the only job, so the
+// engine's queue holds one completion at a time.
+//
+//hmcsim:hotpath
+func (c *Controller) book(pkt *packet.Packet, resp bool) {
+	end := c.engine.Reserve(c.service(pkt), nil)
+	key := c.eng.Key()
+	c.jobs.Push(ctrlJob{pkt: pkt, resp: resp, end: end, key: key})
+	if c.jobs.Len() == 1 {
+		c.eng.AtKey(end, key, c.engineFn)
+	}
+}
+
+// engineDone fires when the packet engine finishes its oldest job, the
+// head of the job ring. It first queues the next job's completion at
+// the (end, key) booked for it: reservations end in booking order, so
+// that end is not before now, and every completion fires at the same
+// (time, key) as if it had been queued at booking.
 func (c *Controller) engineDone() {
 	j := c.jobs.Pop()
+	if h, ok := c.jobs.Peek(); ok {
+		c.eng.AtKey(h.end, h.key, c.engineFn)
+	}
 	if j.resp {
 		// Only now does the packet leave the link receive buffer.
 		c.dev.ReleaseResp(j.pkt.Link, j.pkt.Flits())
@@ -328,8 +354,7 @@ func (c *Controller) tokensFree() bool {
 func (c *Controller) OnResponse(pkt *packet.Packet) {
 	pkt.Tr.TLinkRx = c.eng.Now()
 	c.respsRecv++
-	c.jobs.Push(ctrlJob{pkt: pkt, resp: true})
-	c.engine.Reserve(c.service(pkt), c.engineFn)
+	c.book(pkt, true)
 }
 
 // RequestsSent returns the number of request packets pushed to links.

@@ -413,3 +413,33 @@ func TestConfigClock(t *testing.T) {
 		t.Fatalf("FPGA period = %dps, want 5333", got)
 	}
 }
+
+// TestControllerCompletionsKeepBookingKeys: the packet engine's jobs
+// finish in booking order, and each completion fires at the (time, key)
+// an At at booking would have given it, though the controller queues
+// only the oldest one. A probe scheduled with At at a job's end, right
+// after the job was booked, must therefore find the job finished, also
+// for the jobs queued only when their predecessor finished: queued
+// under a fresh key, their completions would fire after the probes.
+func TestControllerCompletionsKeepBookingKeys(t *testing.T) {
+	eng := sim.NewEngine()
+	c := NewController(eng, DefaultConfig(), newFakeDev(eng, 2, 1<<10))
+	const n = 16
+	for i := 0; i < n; i++ {
+		c.Submit(&packet.Transaction{ID: uint64(i), Size: 64})
+		end := c.jobs.At(c.jobs.Len() - 1).end
+		left := n - 1 - i
+		eng.At(end, func() {
+			if got := c.jobs.Len(); got != left {
+				t.Errorf("job %d: %d jobs left at its end, want %d", i, got, left)
+			}
+		})
+	}
+	if got := eng.Pending(); got != n+1 {
+		t.Fatalf("%d events queued for %d jobs and %d probes, want the probes and one completion", got, n, n)
+	}
+	eng.Drain()
+	if c.jobs.Len() != 0 || c.RequestsSent() != n {
+		t.Fatalf("after the drain: %d jobs left, %d requests sent, want 0 and %d", c.jobs.Len(), c.RequestsSent(), n)
+	}
+}

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"hmcsim"
@@ -89,16 +90,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Code: errorCode(err)})
 }
 
+// errTrailingData rejects a body that holds more than one JSON value.
+var errTrailingData = errors.New("body holds data after its JSON value")
+
 // decodeBody decodes a submission body of at most limit bytes into v,
-// answering 400 itself when it does not decode.
+// answering 400 itself unless the body is exactly one JSON value of v's
+// shape: only whitespace may follow the value, so a second value or
+// garbage after the first is not silently dropped.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			err = errTrailingData
+		}
 	}
-	return true
+	writeError(w, http.StatusBadRequest, err)
+	return false
 }
 
 // admit submits a request's specs and returns their views, in

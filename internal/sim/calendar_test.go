@@ -34,7 +34,8 @@ func (q *refQueue) Now() Time            { return q.now }
 func (q *refQueue) Fired() uint64        { return q.fired }
 func (q *refQueue) Pending() int         { return len(q.evs) }
 func (q *refQueue) Interrupted() bool    { return q.interrupted }
-func (q *refQueue) At(t Time, fn func()) { q.seq++; q.AtKey(t, q.seq, fn) }
+func (q *refQueue) Key() uint64          { q.seq++; return q.seq }
+func (q *refQueue) At(t Time, fn func()) { q.AtKey(t, q.Key(), fn) }
 
 func (q *refQueue) AllocChanID() uint64 {
 	q.chans++
@@ -121,6 +122,7 @@ type scheduler interface {
 	Pending() int
 	Interrupted() bool
 	AllocChanID() uint64
+	Key() uint64
 	At(t Time, fn func())
 	AtKey(t Time, key uint64, fn func())
 	Schedule(d Time, fn func())
@@ -132,9 +134,17 @@ type scheduler interface {
 
 // twin drives one scheduler with a seeded random schedule. The schedule
 // grows from the events themselves: each firing logs its ID and draws
-// its children (At, Schedule and channel-keyed AtKey events) from a
-// generator seeded by that ID, so two twins that fire the same events
-// in the same order build the same schedule.
+// its children (At, Schedule and channel-keyed AtKey events, and jobs
+// booked on a server) from a generator seeded by that ID, so two twins
+// that fire the same events in the same order build the same schedule.
+//
+// The server's jobs finish in booking order, each at the later of its
+// booking and the previous job's end plus its duration, and each job's
+// completion is an event. A held twin books them as the host
+// controller does: it takes each completion's key with Key at booking,
+// keeps the jobs in a FIFO and queues only the oldest's completion,
+// with AtKey, queueing the next one's when it fires. Other twins queue
+// every completion with At at booking.
 type twin struct {
 	q      scheduler
 	chans  []uint64
@@ -143,17 +153,66 @@ type twin struct {
 	ids    int // next event ID
 	budget int // events to schedule in all
 	log    []int
+
+	held bool
+	free Time      // when the server is next free
+	jobs []heldJob // held twin: booked jobs, oldest first
+	far  int       // held twin: bookings that ended beyond the horizon
+	peak int       // held twin: most jobs held at once
+}
+
+// heldJob is a job on a held twin's server: its completion's time, key
+// and event.
+type heldJob struct {
+	end Time
+	key uint64
+	fn  func()
 }
 
 const twinChans = 2
 
-func newTwin(q scheduler, seed uint64, budget int) *twin {
-	d := &twin{q: q, cseq: make([]uint64, twinChans), seed: seed, budget: budget}
+func newTwin(q scheduler, seed uint64, budget int, held bool) *twin {
+	d := &twin{q: q, cseq: make([]uint64, twinChans), seed: seed, budget: budget, held: held}
 	for i := 0; i < twinChans; i++ {
 		d.chans = append(d.chans, q.AllocChanID())
 	}
 	return d
 }
+
+// book puts a job of duration dur on the twin's server.
+func (d *twin) book(dur Time) {
+	end := max(d.q.Now(), d.free) + dur
+	d.free = end
+	fn := d.event()
+	if !d.held {
+		d.q.At(end, fn)
+		return
+	}
+	if end-d.q.Now() > horizon {
+		d.far++
+	}
+	d.jobs = append(d.jobs, heldJob{end: end, key: d.q.Key(), fn: fn})
+	d.peak = max(d.peak, len(d.jobs))
+	if len(d.jobs) == 1 {
+		d.q.AtKey(end, d.jobs[0].key, d.complete)
+	}
+}
+
+// complete is a held twin's server completion: it queues the next job's
+// completion under the key booked for it, then runs the finished job's
+// event.
+func (d *twin) complete() {
+	j := d.jobs[0]
+	d.jobs = d.jobs[1:]
+	if len(d.jobs) > 0 {
+		d.q.AtKey(d.jobs[0].end, d.jobs[0].key, d.complete)
+	}
+	j.fn()
+}
+
+// unqueued is the number of events the twin holds outside its
+// scheduler: every held job's completion but the oldest's.
+func (d *twin) unqueued() int { return max(len(d.jobs)-1, 0) }
 
 func (d *twin) event() func() {
 	id := d.ids
@@ -165,18 +224,27 @@ func (d *twin) event() func() {
 // Half the delays are a few ps, so same-instant ties and inserts into a
 // bucket's middle are common; the rest are uniform over three horizons,
 // so events also land in later buckets and beyond the horizon, and the
-// ring wraps many times over a run.
+// ring wraps many times over a run. A job booked on the server lasts a
+// few ps or up to a sixteenth of a horizon, so completions tie with
+// each other and with other events, and a backlog of jobs reaches past
+// the horizon.
 func (d *twin) spawn(r *Rand) {
 	now := d.q.Now()
 	delay := Time(r.Intn(4)) * 10
 	if r.Intn(2) == 0 {
 		delay = Time(r.Intn(int(3*horizon) + 1))
 	}
-	switch k := r.Intn(4); k {
+	switch k := r.Intn(5); k {
 	case 0, 1:
 		d.q.At(now+delay, d.event())
 	case 2:
 		d.q.Schedule(delay, d.event())
+	case 3:
+		dur := Time(r.Intn(4)) * 10
+		if r.Intn(2) == 0 {
+			dur = Time(r.Intn(int(horizon / 16)))
+		}
+		d.book(dur)
 	default:
 		c := r.Intn(twinChans)
 		d.cseq[c]++
@@ -210,19 +278,21 @@ type pair struct {
 
 func newPair(seed uint64, budget int) *pair {
 	eng := NewEngine()
-	p := &pair{eng: eng, cal: newTwin(eng, seed, budget), ref: newTwin(&refQueue{}, seed, budget)}
+	p := &pair{eng: eng, cal: newTwin(eng, seed, budget, true), ref: newTwin(&refQueue{}, seed, budget, false)}
 	p.cal.start(8)
 	p.ref.start(8)
 	return p
 }
 
 // same fails the test unless the twins agree on everything observable.
+// The engine twin's pending events, with the completions it holds,
+// must be the reference's.
 func (p *pair) same(t *testing.T, where string) {
 	t.Helper()
 	a, b := p.cal, p.ref
-	if a.q.Now() != b.q.Now() || a.q.Fired() != b.q.Fired() || a.q.Pending() != b.q.Pending() {
-		t.Fatalf("%s: engine at now=%v fired=%d pending=%d, reference at now=%v fired=%d pending=%d",
-			where, a.q.Now(), a.q.Fired(), a.q.Pending(), b.q.Now(), b.q.Fired(), b.q.Pending())
+	if a.q.Now() != b.q.Now() || a.q.Fired() != b.q.Fired() || a.q.Pending()+a.unqueued() != b.q.Pending() {
+		t.Fatalf("%s: engine at now=%v fired=%d pending=%d+%d held, reference at now=%v fired=%d pending=%d",
+			where, a.q.Now(), a.q.Fired(), a.q.Pending(), a.unqueued(), b.q.Now(), b.q.Fired(), b.q.Pending())
 	}
 	if len(a.log) != len(b.log) {
 		t.Fatalf("%s: engine fired %d events, reference %d", where, len(a.log), len(b.log))
@@ -238,7 +308,9 @@ func (p *pair) same(t *testing.T, where string) {
 // TestCalendarMatchesReference is the calendar's order contract: it
 // fires the same events at the same times in the same order as a list
 // sorted by (time, key), and reports the same Now, Fired and Pending
-// after every step.
+// after every step. The engine twin's held server completions, queued
+// one at a time under keys taken at booking, fire where the
+// reference's eager ones do.
 func TestCalendarMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		p := newPair(seed, 3000)
@@ -257,9 +329,9 @@ func TestCalendarMatchesReference(t *testing.T) {
 			}
 			p.same(t, "step")
 		}
-		if p.cal.ids < 1000 || maxFar < 2 || p.eng.Now() < 5*horizon {
-			t.Fatalf("seed %d: %d events scheduled, at most %d beyond the horizon, %v simulated; the schedule is too thin to test",
-				seed, p.cal.ids, maxFar, p.eng.Now())
+		if p.cal.ids < 1000 || maxFar < 2 || p.eng.Now() < 5*horizon || p.cal.far == 0 || p.cal.peak < 3 {
+			t.Fatalf("seed %d: %d events scheduled, at most %d beyond the horizon, %v simulated, %d server jobs booked beyond it, at most %d held; the schedule is too thin to test",
+				seed, p.cal.ids, maxFar, p.eng.Now(), p.cal.far, p.cal.peak)
 		}
 	}
 }

@@ -1,8 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// Time is measured in integer picoseconds (type Time). Events scheduled for
-// the same instant fire in the order they were scheduled, which makes every
-// simulation in this repository bit-for-bit reproducible for a given seed.
+// Time is measured in integer picoseconds (type Time). Every event fires
+// in (time, key) order, which makes every simulation in this repository
+// bit-for-bit reproducible for a given seed. Ordinary keys are the
+// engine's sequence numbers, taken by At (and Schedule) or by Key, so
+// same-instant ordinary events fire in the order their keys were taken;
+// channel keys come from ChanKey and follow every ordinary event of
+// their instant.
 //
 // The kernel is deliberately minimal: an Engine owns a priority queue of
 // events, and components interact by scheduling closures. Higher-level
@@ -23,6 +27,9 @@ import (
 
 // Time is a simulation timestamp or duration in picoseconds.
 type Time int64
+
+// maxTime is the latest representable time, the bound Step pops with.
+const maxTime = Time(1<<63 - 1)
 
 // Common durations.
 const (
@@ -173,8 +180,10 @@ func (e *Engine) AllocChanID() uint64 {
 	return id
 }
 
-// Pending returns the number of scheduled-but-unfired events, in the
-// calendar and beyond its horizon.
+// Pending returns the number of queued, unfired events, in the calendar
+// and beyond its horizon. A completion that a component holds back
+// under a key taken with Key is not queued, so it does not count until
+// the component queues it with AtKey.
 func (e *Engine) Pending() int { return e.ncal + len(e.far) }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
@@ -208,10 +217,14 @@ func (e *Engine) At(t Time, fn func()) {
 	e.push(event{at: t, key: e.seq, fn: fn})
 }
 
-// AtKey runs fn at absolute time t under an explicit ordering key
-// (built with ChanKey). Channels use it so that same-instant delivery
-// order depends only on the model's wiring, never on when the event
-// was scheduled. The caller must keep (t, key) pairs unique.
+// AtKey runs fn at absolute time t under an explicit ordering key: a
+// channel key built with ChanKey, or an ordinary key taken earlier with
+// Key. Channels use it so that same-instant delivery order depends only
+// on the model's wiring, never on when the event was scheduled; a
+// component that holds a FIFO of completions uses it to queue each one,
+// when it reaches the head, under the key it took at booking. The
+// caller must keep (t, key) pairs unique, which each key used once
+// guarantees.
 //
 //hmcsim:hotpath
 func (e *Engine) AtKey(t Time, key uint64, fn func()) {
@@ -219,6 +232,18 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) {
 		scheduleInPast(t, e.now)
 	}
 	e.push(event{at: t, key: key, fn: fn})
+}
+
+// Key takes the engine's next ordinary ordering key, as At does, without
+// queueing anything. An event later queued with AtKey under that key
+// fires exactly where an At at the time of the Key call would have put
+// it, so a component whose completions fire in booking order can take
+// each one's key when it books it and queue only the oldest.
+//
+//hmcsim:hotpath
+func (e *Engine) Key() uint64 {
+	e.seq++
+	return e.seq
 }
 
 // push queues ev, which is not in the past: into its calendar bucket if
@@ -273,18 +298,20 @@ func (e *Engine) grow() int32 {
 	return int32(len(e.nodes) - 1)
 }
 
-// next locates the earliest pending event and returns it with the ring
-// slot it heads, or with slot -1 when it is the far heap's head. It
-// returns a nil event when nothing is pending. The calendar's earliest
-// event heads the first non-empty bucket from now's, scanning the
-// bitmap forward and wrapping once.
+// pop removes the earliest pending event if it fires no later than
+// until, moves the clock to it and returns its callback; ok is false
+// when nothing is pending or the earliest event is later. The
+// calendar's earliest event heads the first non-empty bucket from
+// now's, found by scanning the bitmap forward and wrapping once, and
+// it is unlinked from the bucket it was found in without locating it
+// a second time.
 //
 //hmcsim:hotpath
-func (e *Engine) next() (slot int, ev *event) {
-	slot = -1
+func (e *Engine) pop(until Time) (fn func(), ok bool) {
 	if e.ncal > 0 {
 		s := int(e.now>>calShift) & calMask
 		w := s >> 6
+		slot := -1
 		if m := e.full[w] >> (s & 63); m != 0 {
 			slot = s + bits.TrailingZeros64(m)
 		} else {
@@ -296,36 +323,35 @@ func (e *Engine) next() (slot int, ev *event) {
 				}
 			}
 		}
-		ev = &e.nodes[e.nodes[e.ring[slot]].next].ev
+		nodes := e.nodes
+		t := e.ring[slot]
+		n := nodes[t].next
+		nd := &nodes[n]
+		if len(e.far) == 0 || !e.far[0].before(&nd.ev) {
+			if nd.ev.at > until {
+				return nil, false
+			}
+			if n == t {
+				e.ring[slot] = 0
+				e.full[slot>>6] &^= 1 << (slot & 63)
+			} else {
+				nodes[t].next = nd.next
+			}
+			e.now = nd.ev.at
+			fn = nd.ev.fn
+			nd.ev.fn = nil // drop the closure reference so the GC can collect it
+			nd.next = e.free
+			e.free = n
+			e.ncal--
+			return fn, true
+		}
 	}
-	if len(e.far) > 0 && (ev == nil || e.far[0].before(ev)) {
-		return -1, &e.far[0]
+	if len(e.far) == 0 || e.far[0].at > until {
+		return nil, false
 	}
-	return slot, ev
-}
-
-// take removes and returns the event next found at slot.
-//
-//hmcsim:hotpath
-func (e *Engine) take(slot int) event {
-	if slot < 0 {
-		return e.farPop()
-	}
-	t := e.ring[slot]
-	n := e.nodes[t].next
-	nd := &e.nodes[n]
-	ev := nd.ev
-	if n == t {
-		e.ring[slot] = 0
-		e.full[slot>>6] &^= 1 << (slot & 63)
-	} else {
-		e.nodes[t].next = nd.next
-	}
-	nd.ev.fn = nil // drop the closure reference so the GC can collect it
-	nd.next = e.free
-	e.free = n
-	e.ncal--
-	return ev
+	ev := e.farPop()
+	e.now = ev.at
+	return ev.fn, true
 }
 
 // farPush appends ev to the far heap and sifts it up. The
@@ -388,25 +414,16 @@ func (e *Engine) farPop() event {
 	return root
 }
 
-// fire takes the event next found at slot and runs it.
-//
-//hmcsim:hotpath
-func (e *Engine) fire(slot int) {
-	ev := e.take(slot)
-	e.now = ev.at
-	e.nfired++
-	ev.fn()
-}
-
 // Step executes the next event, if any, and reports whether one ran.
 //
 //hmcsim:hotpath
 func (e *Engine) Step() bool {
-	slot, ev := e.next()
-	if ev == nil {
+	fn, ok := e.pop(maxTime)
+	if !ok {
 		return false
 	}
-	e.fire(slot)
+	e.nfired++
+	fn()
 	return true
 }
 
@@ -442,15 +459,14 @@ func (e *Engine) SetCheckpoint(every uint64, fn func() bool) {
 // results are partial and must be discarded.
 func (e *Engine) Interrupted() bool { return e.interrupted }
 
-// checkpoint counts down to the next installed checkpoint and reports
-// whether the loop should stop. Hot-path shape: the common case is two
-// compares and a decrement.
+// checkpoint counts down to the next checkpoint and reports whether the
+// loop should stop. Run and Drain call it only while a checkpoint is
+// installed (ckEvery != 0), so the uninstrumented loop pays one
+// predictable branch per event; the instrumented common case is a
+// compare and a decrement.
 //
 //hmcsim:hotpath
 func (e *Engine) checkpoint() (stop bool) {
-	if e.ckEvery == 0 {
-		return false
-	}
 	if e.ckLeft--; e.ckLeft > 0 {
 		return false
 	}
@@ -471,12 +487,13 @@ func (e *Engine) checkpoint() (stop bool) {
 func (e *Engine) Run(until Time) Time {
 	e.interrupted = false
 	for {
-		slot, ev := e.next()
-		if ev == nil || ev.at > until {
+		fn, ok := e.pop(until)
+		if !ok {
 			break
 		}
-		e.fire(slot)
-		if e.checkpoint() {
+		e.nfired++
+		fn()
+		if e.ckEvery != 0 && e.checkpoint() {
 			return e.now
 		}
 	}
@@ -493,7 +510,7 @@ func (e *Engine) Run(until Time) Time {
 func (e *Engine) Drain() {
 	e.interrupted = false
 	for e.Step() {
-		if e.checkpoint() {
+		if e.ckEvery != 0 && e.checkpoint() {
 			return
 		}
 	}
