@@ -80,11 +80,9 @@ func NewSystem(cfg Config) *System { return &System{core.NewSystem(cfg)} }
 type Options struct {
 	// Quick cuts windows and sample counts for use inside tests and
 	// benchmarks.
-	//hmcsim:speckey-ok founding key field: every cached result already keys on it
 	Quick bool `json:"quick"`
 	// Seed perturbs all workload RNGs (0 keeps the config default),
 	// letting callers check that conclusions are seed-stable.
-	//hmcsim:speckey-ok founding key field: every cached result already keys on it
 	Seed uint64 `json:"seed"`
 	// Traffic carries a synthetic traffic spec for the experiments that
 	// consume one (the generic "traffic" runner); nil runs their

@@ -204,8 +204,6 @@ func (c *Controller) Submit(tr *packet.Transaction) {
 // ordering key now, as the eager At of Reserve(dur, engineFn) would.
 // It queues the completion only when pkt is the only job, so the
 // engine's queue holds one completion at a time.
-//
-//hmcsim:hotpath
 func (c *Controller) book(pkt *packet.Packet, resp bool) {
 	end := c.engine.Reserve(c.service(pkt), nil)
 	key := c.eng.Key()
@@ -255,8 +253,6 @@ func (c *Controller) rxDone() {
 
 // sendReq pushes the packet onto a link, round-robining across links and
 // parking it for link tokens when the cube exerts back-pressure.
-//
-//hmcsim:hotpath
 func (c *Controller) sendReq(pkt *packet.Packet) {
 	links := len(c.blocked)
 	first := c.next()
@@ -274,8 +270,6 @@ func (c *Controller) sendReq(pkt *packet.Packet) {
 
 // next advances the round-robin and returns the link a send attempt
 // tries first.
-//
-//hmcsim:hotpath
 func (c *Controller) next() int {
 	first := c.rr
 	if c.rr++; c.rr == len(c.blocked) {
@@ -287,8 +281,6 @@ func (c *Controller) next() int {
 // park queues pkt behind link l's blocked requests. Only the park that
 // makes the list non-empty registers a waiter, so a token release runs
 // one callback per link however many requests wait.
-//
-//hmcsim:hotpath
 func (c *Controller) park(l int, pkt *packet.Packet) {
 	if len(c.blocked[l]) == 0 {
 		c.dev.ReqDir(l).NotifyTokens(c.retryFns[l])
@@ -308,8 +300,6 @@ func (c *Controller) park(l int, pkt *packet.Packet) {
 // would park them, without reading their packets: rest[j] goes to link
 // (rr+j) mod links, so link t takes every links-th request from offset
 // (t-rr) mod links, appended in one pass per link.
-//
-//hmcsim:hotpath
 func (c *Controller) retry(l int) {
 	list := c.blocked[l]
 	c.blocked[l], c.spare = c.spare, nil // nil while lent, never lent twice
@@ -339,8 +329,6 @@ func (c *Controller) retry(l int) {
 }
 
 // tokensFree reports whether any request link has a free token.
-//
-//hmcsim:hotpath
 func (c *Controller) tokensFree() bool {
 	for l := range c.blocked {
 		if c.dev.ReqDir(l).TokensAvailable() > 0 {

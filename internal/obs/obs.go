@@ -42,8 +42,6 @@ type Hist struct {
 }
 
 // Observe records one sample. Negative values clamp to zero.
-//
-//hmcsim:hotpath
 func (h *Hist) Observe(v int) {
 	if v < 0 {
 		v = 0
@@ -140,8 +138,6 @@ type VaultTracer struct {
 
 // OnAccept records an admission at the given controller occupancy
 // (input buffer plus bank queues, after insertion). No-op on nil.
-//
-//hmcsim:hotpath
 func (t *VaultTracer) OnAccept(occupancy int) {
 	if t == nil {
 		return
@@ -154,8 +150,6 @@ func (t *VaultTracer) OnAccept(occupancy int) {
 }
 
 // OnReject records a full-input-buffer rejection. No-op on nil.
-//
-//hmcsim:hotpath
 func (t *VaultTracer) OnReject() {
 	if t == nil {
 		return
@@ -179,8 +173,6 @@ type LinkTracer struct {
 
 // OnTx records a successfully serialized packet and the serializer
 // time it occupied. No-op on nil.
-//
-//hmcsim:hotpath
 func (t *LinkTracer) OnTx(flits int, serPs int64) {
 	if t == nil {
 		return
@@ -195,8 +187,6 @@ func (t *LinkTracer) OnTx(flits int, serPs int64) {
 
 // OnRetry records a CRC-triggered retransmission; the corrupted pass
 // still occupied the serializer for serPs. No-op on nil.
-//
-//hmcsim:hotpath
 func (t *LinkTracer) OnRetry(serPs int64) {
 	if t == nil {
 		return
@@ -220,8 +210,6 @@ type NoCTracer struct {
 
 // OnHop records one router admission at the given router occupancy.
 // No-op on nil.
-//
-//hmcsim:hotpath
 func (t *NoCTracer) OnHop(queued int) {
 	if t == nil {
 		return
@@ -236,8 +224,6 @@ func (t *NoCTracer) OnHop(queued int) {
 // OnCreditStall records a bridge-channel admission attempt that found
 // the credit pool empty — the fabric's back-pressure signal between
 // quadrants. No-op on nil.
-//
-//hmcsim:hotpath
 func (t *NoCTracer) OnCreditStall() {
 	if t == nil {
 		return
@@ -262,8 +248,6 @@ type HostTracer struct {
 
 // OnTagTake records a successful acquisition with the pool's resulting
 // outstanding count. No-op on nil.
-//
-//hmcsim:hotpath
 func (t *HostTracer) OnTagTake(outstanding int) {
 	if t == nil {
 		return
@@ -277,8 +261,6 @@ func (t *HostTracer) OnTagTake(outstanding int) {
 
 // OnTagWait records an issue attempt that found the pool empty. No-op
 // on nil.
-//
-//hmcsim:hotpath
 func (t *HostTracer) OnTagWait() {
 	if t == nil {
 		return

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -137,10 +138,55 @@ func TestBucketLabelBoundaries(t *testing.T) {
 	}
 }
 
-// TestNilTracersAreNoOps is the zero-cost-when-off contract: every hook
-// must be safe and allocation-free on a nil receiver, because components
-// call them unconditionally on possibly-nil pointers.
+// TestNilTracersAreNoOps is the zero-cost-when-off contract: components
+// call hooks unconditionally on possibly-nil pointers, and every tracer
+// they hold comes from a SystemTracer. So every exported method of every
+// tracer type reachable from SystemTracer (named ...Tracer, ...Track or
+// Timeline) must be safe on a nil receiver, and the per-event hooks must
+// not allocate there either.
 func TestNilTracersAreNoOps(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for k := typ.Kind(); k == reflect.Pointer || k == reflect.Slice || k == reflect.Array || k == reflect.Map; k = typ.Kind() {
+			typ = typ.Elem()
+		}
+		if typ.Kind() == reflect.Struct && !seen[typ] {
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type)
+			}
+		}
+	}
+	walk(reflect.TypeOf(SystemTracer{}))
+	methods := 0
+	for typ := range seen {
+		name := typ.Name()
+		if !strings.HasSuffix(name, "Tracer") && !strings.HasSuffix(name, "Track") && name != "Timeline" {
+			continue
+		}
+		ptr := reflect.PointerTo(typ)
+		for i := 0; i < ptr.NumMethod(); i++ {
+			m := ptr.Method(i)
+			args := []reflect.Value{reflect.Zero(ptr)}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.Type.In(j)))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(*%s).%s panics on a nil receiver: %v", name, m.Name, r)
+					}
+				}()
+				m.Func.Call(args)
+			}()
+			methods++
+		}
+	}
+	if methods < 14 { // the hooks of SystemTracer, its four component tracers and the timeline
+		t.Fatalf("walk reached %d tracer methods, want at least 14", methods)
+	}
+
 	var vt *VaultTracer
 	var lt *LinkTracer
 	var nt *NoCTracer
@@ -151,6 +197,7 @@ func TestNilTracersAreNoOps(t *testing.T) {
 		lt.OnTx(9, 1234)
 		lt.OnRetry(1234)
 		nt.OnHop(2)
+		nt.OnCreditStall()
 		ht.OnTagTake(17)
 		ht.OnTagWait()
 	})
@@ -172,6 +219,7 @@ func TestEnabledTracersDoNotAllocate(t *testing.T) {
 		lt.OnTx(9, 1234)
 		lt.OnRetry(1234)
 		nt.OnHop(2)
+		nt.OnCreditStall()
 		ht.OnTagTake(17)
 		ht.OnTagWait()
 	})

@@ -58,8 +58,6 @@ func (tl *Timeline) Track(name string) *TimelineTrack {
 
 // fold halves the resolution: bucket width doubles and adjacent buckets
 // merge, freeing the upper half of every track for later samples.
-//
-//hmcsim:hotpath
 func (tl *Timeline) fold() {
 	tl.widthPs *= 2
 	for _, tr := range tl.tracks {
@@ -84,8 +82,6 @@ type TimelineTrack struct {
 // needed so the sample always lands inside the covered range. No-op on
 // a nil track and allocation-free otherwise: folds rewrite the fixed
 // arrays in place.
-//
-//hmcsim:hotpath
 func (tr *TimelineTrack) Add(tPs int64, n uint64) {
 	if tr == nil {
 		return

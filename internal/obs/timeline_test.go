@@ -131,6 +131,7 @@ func TestEnabledTimelineHooksDoNotAllocate(t *testing.T) {
 		lt.OnTx(9, 1234)
 		lt.OnRetry(1234)
 		st.NoC.OnHop(2)
+		st.NoC.OnCreditStall()
 		st.Host.OnTagTake(17)
 		st.Host.OnTagWait()
 		tick += DefaultTimelineWidthPs * 7 / 10
@@ -143,6 +144,9 @@ func TestEnabledTimelineHooksDoNotAllocate(t *testing.T) {
 	}
 	if got := st.timeline.Track("link0.req flits").Total(); got == 0 {
 		t.Fatal("link track recorded nothing")
+	}
+	if got := st.timeline.Track("noc credit stalls").Total(); got == 0 {
+		t.Fatal("credit-stall track recorded nothing")
 	}
 }
 

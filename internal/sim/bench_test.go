@@ -142,6 +142,9 @@ func BenchmarkRingPushPop(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		r.Push(i)
 	}
+	// One warm-up cycle grows the full ring to its steady-state size.
+	r.Push(0)
+	r.Pop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -163,11 +166,47 @@ func BenchmarkTokenPoolNotifyRelease(b *testing.B) {
 	}
 	p.TryAcquire(1)
 	p.Notify(again)
+	// One warm-up cycle gives the waiters' second array its first slot.
+	p.Release(1)
+	p.Notify(again)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Release(1) // fires the waiter, which re-acquires and blocks anew
 		p.Notify(again)
+	}
+}
+
+// TestPrimitivesDoNotAllocate pins the benchmarks' 0 allocs/op for the
+// queueing primitives once they have grown to their working size: ring
+// and queue push/pop, out-of-order removal, and a token pool's acquire,
+// park and release that fires the parked waiter.
+func TestPrimitivesDoNotAllocate(t *testing.T) {
+	var r Ring[int]
+	q := NewQueue[int](0)
+	for i := 0; i < 16; i++ {
+		r.Push(i)
+		q.Push(i)
+	}
+	p := NewTokenPool(1)
+	fired := 0
+	waiter := func() { fired++ }
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Ring.Push+Pop", func() { r.Push(0); r.Pop() }},
+		{"Queue.Push+Pop", func() { q.Push(0); q.Pop() }},
+		{"Queue.Push+RemoveAt", func() { q.Push(0); q.RemoveAt(q.Len() / 2) }},
+		{"TokenPool.TryAcquire+Notify+Release", func() { p.TryAcquire(1); p.Notify(waiter); p.Release(1) }},
+	} {
+		c.op() // grow to the working size
+		if allocs := testing.AllocsPerRun(100, c.op); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
+		}
+	}
+	if fired != 102 {
+		t.Errorf("Release fired the parked waiter %d times in 102 cycles", fired)
 	}
 }
 

@@ -187,8 +187,6 @@ func (e *Engine) AllocChanID() uint64 {
 func (e *Engine) Pending() int { return e.ncal + len(e.far) }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
-//
-//hmcsim:hotpath
 func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
@@ -198,7 +196,7 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 
 // scheduleInPast reports the broken-model error out of line: the panic
 // path is cold by definition, and hoisting it keeps fmt (and the
-// boxing its arguments imply) out of the annotated scheduling paths.
+// boxing its arguments imply) off the scheduling path.
 //
 //go:noinline
 func scheduleInPast(t, now Time) {
@@ -207,8 +205,6 @@ func scheduleInPast(t, now Time) {
 
 // At runs fn at absolute time t. Scheduling in the past is an error
 // that indicates a broken component model, so it panics.
-//
-//hmcsim:hotpath
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		scheduleInPast(t, e.now)
@@ -225,8 +221,6 @@ func (e *Engine) At(t Time, fn func()) {
 // when it reaches the head, under the key it took at booking. The
 // caller must keep (t, key) pairs unique, which each key used once
 // guarantees.
-//
-//hmcsim:hotpath
 func (e *Engine) AtKey(t Time, key uint64, fn func()) {
 	if t < e.now {
 		scheduleInPast(t, e.now)
@@ -239,8 +233,6 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) {
 // fires exactly where an At at the time of the Key call would have put
 // it, so a component whose completions fire in booking order can take
 // each one's key when it books it and queue only the oldest.
-//
-//hmcsim:hotpath
 func (e *Engine) Key() uint64 {
 	e.seq++
 	return e.seq
@@ -252,8 +244,6 @@ func (e *Engine) Key() uint64 {
 // holds the events of one bucket only. Most events come no earlier than
 // their bucket's last one and append in O(1); the rest walk the list
 // from its head.
-//
-//hmcsim:hotpath
 func (e *Engine) push(ev event) {
 	b := ev.at >> calShift
 	if b-e.now>>calShift >= calBuckets {
@@ -305,8 +295,6 @@ func (e *Engine) grow() int32 {
 // now's, found by scanning the bitmap forward and wrapping once, and
 // it is unlinked from the bucket it was found in without locating it
 // a second time.
-//
-//hmcsim:hotpath
 func (e *Engine) pop(until Time) (fn func(), ok bool) {
 	if e.ncal > 0 {
 		s := int(e.now>>calShift) & calMask
@@ -357,8 +345,6 @@ func (e *Engine) pop(until Time) (fn func(), ok bool) {
 // farPush appends ev to the far heap and sifts it up. The
 // hole-then-place form moves each displaced parent once instead of
 // swapping.
-//
-//hmcsim:hotpath
 func (e *Engine) farPush(ev event) {
 	pq := append(e.far, ev)
 	i := len(pq) - 1
@@ -375,8 +361,6 @@ func (e *Engine) farPush(ev event) {
 }
 
 // farPop removes and returns the far heap's minimum event.
-//
-//hmcsim:hotpath
 func (e *Engine) farPop() event {
 	pq := e.far
 	root := pq[0]
@@ -415,8 +399,6 @@ func (e *Engine) farPop() event {
 }
 
 // Step executes the next event, if any, and reports whether one ran.
-//
-//hmcsim:hotpath
 func (e *Engine) Step() bool {
 	fn, ok := e.pop(maxTime)
 	if !ok {
@@ -464,8 +446,6 @@ func (e *Engine) Interrupted() bool { return e.interrupted }
 // installed (ckEvery != 0), so the uninstrumented loop pays one
 // predictable branch per event; the instrumented common case is a
 // compare and a decrement.
-//
-//hmcsim:hotpath
 func (e *Engine) checkpoint() (stop bool) {
 	if e.ckLeft--; e.ckLeft > 0 {
 		return false
@@ -534,14 +514,10 @@ type Timer struct {
 func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
 
 // At schedules the timer's callback at absolute time t.
-//
-//hmcsim:hotpath
 func (t *Timer) At(at Time) { t.eng.At(at, t.fn) }
 
 // After schedules the timer's callback delay from now. A negative delay
 // is treated as zero.
-//
-//hmcsim:hotpath
 func (t *Timer) After(delay Time) { t.eng.Schedule(delay, t.fn) }
 
 // Clock describes a fixed-frequency clock domain and converts between

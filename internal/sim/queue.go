@@ -34,8 +34,6 @@ func (q *Queue[T]) Empty() bool { return q.ring.Empty() }
 
 // Push appends v and reports whether it was accepted. Callers use the
 // boolean to model back-pressure; a false return leaves the queue unchanged.
-//
-//hmcsim:hotpath
 func (q *Queue[T]) Push(v T) bool {
 	if q.Full() {
 		return false
@@ -46,8 +44,6 @@ func (q *Queue[T]) Push(v T) bool {
 
 // Pop removes and returns the head element. The boolean is false when the
 // queue is empty.
-//
-//hmcsim:hotpath
 func (q *Queue[T]) Pop() (T, bool) {
 	var zero T
 	if q.ring.Empty() {
@@ -64,8 +60,6 @@ func (q *Queue[T]) Peek() (T, bool) { return q.ring.Peek() }
 func (q *Queue[T]) At(i int) T { return q.ring.At(i) }
 
 // RemoveAt removes and returns the i-th element from the head.
-//
-//hmcsim:hotpath
 func (q *Queue[T]) RemoveAt(i int) T { return q.ring.RemoveAt(i) }
 
 // Waiters is a list of parked callbacks with an allocation-free
@@ -80,8 +74,6 @@ type Waiters struct {
 }
 
 // Add registers fn for the next Fire.
-//
-//hmcsim:hotpath
 func (w *Waiters) Add(fn func()) { w.list = append(w.list, fn) }
 
 // Empty reports whether no callbacks are registered.
@@ -89,8 +81,6 @@ func (w *Waiters) Empty() bool { return len(w.list) == 0 }
 
 // Fire runs the registered callbacks in registration order. Callbacks
 // registered while firing wait for the next Fire.
-//
-//hmcsim:hotpath
 func (w *Waiters) Fire() {
 	if len(w.list) == 0 {
 		return
@@ -127,8 +117,6 @@ func (p *TokenPool) Total() int { return p.total }
 func (p *TokenPool) Available() int { return p.available }
 
 // TryAcquire takes n tokens if they are all available.
-//
-//hmcsim:hotpath
 func (p *TokenPool) TryAcquire(n int) bool {
 	if n > p.available {
 		return false
@@ -140,8 +128,6 @@ func (p *TokenPool) TryAcquire(n int) bool {
 // Release returns n tokens and wakes waiters registered with Notify.
 // Waiters registered during a callback — the usual retry-and-reblock
 // pattern — wait for the next Release.
-//
-//hmcsim:hotpath
 func (p *TokenPool) Release(n int) {
 	p.available += n
 	if p.available > p.total {
@@ -152,6 +138,4 @@ func (p *TokenPool) Release(n int) {
 
 // Notify registers fn to run on the next Release. Components use this to
 // retry a blocked injection without polling.
-//
-//hmcsim:hotpath
 func (p *TokenPool) Notify(fn func()) { p.waiters.Add(fn) }

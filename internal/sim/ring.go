@@ -23,8 +23,6 @@ func (r *Ring[T]) Len() int { return r.n }
 func (r *Ring[T]) Empty() bool { return r.n == 0 }
 
 // Push appends v at the tail.
-//
-//hmcsim:hotpath
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
@@ -35,8 +33,6 @@ func (r *Ring[T]) Push(v T) {
 
 // grow doubles the backing array (minimum 8) and unrolls the ring to the
 // front so index arithmetic stays a single mask.
-//
-//hmcsim:hotpath
 func (r *Ring[T]) grow() {
 	size := 2 * len(r.buf)
 	if size < 8 {
@@ -52,8 +48,6 @@ func (r *Ring[T]) grow() {
 
 // Pop removes and returns the head element. It panics on an empty ring;
 // callers gate on Len or Empty.
-//
-//hmcsim:hotpath
 func (r *Ring[T]) Pop() T {
 	if r.n == 0 {
 		panic("sim: Pop from empty ring")
@@ -67,8 +61,6 @@ func (r *Ring[T]) Pop() T {
 }
 
 // Peek returns the head element without removing it.
-//
-//hmcsim:hotpath
 func (r *Ring[T]) Peek() (T, bool) {
 	var zero T
 	if r.n == 0 {
@@ -79,8 +71,6 @@ func (r *Ring[T]) Peek() (T, bool) {
 
 // At returns the i-th element from the head without removing it.
 // It panics if i is out of range, mirroring slice semantics.
-//
-//hmcsim:hotpath
 func (r *Ring[T]) At(i int) T {
 	if i < 0 || i >= r.n {
 		panic("sim: ring index out of range")
@@ -91,8 +81,6 @@ func (r *Ring[T]) At(i int) T {
 // RemoveAt removes and returns the i-th element from the head,
 // preserving the order of the rest. It shifts whichever side of the ring
 // is shorter, so removals near either end are cheap.
-//
-//hmcsim:hotpath
 func (r *Ring[T]) RemoveAt(i int) T {
 	if i < 0 || i >= r.n {
 		panic("sim: ring index out of range")

@@ -17,8 +17,6 @@ func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
 // Reserve books the server for dur starting no earlier than now, returns
 // the completion time, and schedules done (if non-nil) at that time.
 // Completions fire in Reserve order.
-//
-//hmcsim:hotpath
 func (s *Server) Reserve(dur Time, done func()) Time {
 	start := s.eng.Now()
 	if s.free > start {

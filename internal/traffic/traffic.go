@@ -139,7 +139,6 @@ type Phase struct {
 	// for this phase; "" keeps the spec's base pattern.
 	Pattern string `json:"pattern,omitempty"`
 	// DurationUs is the phase length in simulated microseconds.
-	//hmcsim:speckey-ok founding phase field: a zero-duration phase is meaningless, so it is always set
 	DurationUs float64 `json:"durationUs"`
 	// RateGBps overrides the open-loop target for this phase; 0 keeps
 	// the spec's base rate.

@@ -18,9 +18,7 @@ import (
 // Options.Workers is deliberately excluded (json:"-"): it changes only
 // wall-clock time, never results, so it must not split the cache.
 type Spec struct {
-	//hmcsim:speckey-ok founding key field: every cached result already keys on it
-	Exp string `json:"exp"`
-	//hmcsim:speckey-ok founding key field: every cached result already keys on it
+	Exp     string  `json:"exp"`
 	Options Options `json:"options"`
 }
 

@@ -143,19 +143,78 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 }
 
 // TestSpecKeyStableAcrossTrafficExtension pins the canonical encoding
-// of a pre-traffic spec: adding the options.traffic field must not
-// change the keys of specs that do not use it, or every daemon cache
-// entry from before the traffic subsystem would be silently orphaned.
+// of a pre-traffic spec, whose key must not move when options.traffic
+// exists but is unused, and of a spec that sets every traffic and phase
+// field, whose key moves if any of their JSON names does. Either would
+// silently orphan every daemon cache entry keyed before the change.
 func TestSpecKeyStableAcrossTrafficExtension(t *testing.T) {
-	s := hmcsim.Spec{Exp: "fig6", Options: hmcsim.Options{Quick: true, Seed: 7}}
-	canon, err := s.Canonical()
-	if err != nil {
-		t.Fatal(err)
+	full := &hmcsim.TrafficSpec{
+		Pattern: hmcsim.TrafficZipf, WorkingSetBytes: 1 << 24, StrideBytes: 256,
+		HotFraction: 0.8, HotSetBytes: 1 << 20, ZipfTheta: 0.9, ChaseNodes: 64,
+		WriteFraction: 0.3, MixRunLength: 4, Discipline: hmcsim.TrafficOpenLoop, RateGBps: 1.5,
+		Phases: []hmcsim.TrafficPhase{{Pattern: hmcsim.TrafficStride, DurationUs: 2.5, RateGBps: 3, Off: true}},
 	}
-	// The exact canonical bytes from before Options.Traffic existed.
-	want := `{"exp":"fig6","options":{"quick":true,"seed":7}}`
-	if string(canon) != want {
-		t.Fatalf("canonical form drifted:\n got: %s\nwant: %s", canon, want)
+	for _, c := range []struct {
+		spec hmcsim.Spec
+		want string
+	}{
+		{hmcsim.Spec{Exp: "fig6", Options: hmcsim.Options{Quick: true, Seed: 7}},
+			`{"exp":"fig6","options":{"quick":true,"seed":7}}`},
+		{hmcsim.Spec{Exp: "traffic", Options: hmcsim.Options{Seed: 3, Traffic: full}},
+			`{"exp":"traffic","options":{"quick":false,"seed":3,"traffic":{"chaseNodes":64,"discipline":"open",` +
+				`"hotFraction":0.8,"hotSetBytes":1048576,"mixRunLength":4,"pattern":"zipf","phases":[{"durationUs":2.5,` +
+				`"off":true,"pattern":"stride","rateGBps":3}],"rateGBps":1.5,"strideBytes":256,"workingSetBytes":16777216,` +
+				`"writeFraction":0.3,"zipfTheta":0.9}}}`},
+	} {
+		canon, err := c.spec.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(canon) != c.want {
+			t.Errorf("canonical form drifted:\n got: %s\nwant: %s", canon, c.want)
+		}
+	}
+}
+
+// TestSpecFieldsKeepOldKeys walks the JSON closure of Spec: a field that
+// always serializes would change the key of every spec written before
+// it, so each exported field must be tagged json:"-" or omitempty. The
+// founding fields, in every key since the first, are the exceptions.
+func TestSpecFieldsKeepOldKeys(t *testing.T) {
+	founding := map[string]bool{
+		"hmcsim.Spec.Exp": true, "hmcsim.Spec.Options": true, "hmcsim.Options.Quick": true,
+		"hmcsim.Options.Seed": true, "traffic.Phase.DurationUs": true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for k := typ.Kind(); k == reflect.Pointer || k == reflect.Slice || k == reflect.Array || k == reflect.Map; k = typ.Kind() {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			tag, _ := f.Tag.Lookup("json")
+			name := typ.String() + "." + f.Name
+			_, opts, _ := strings.Cut(tag, ",")
+			switch {
+			case f.Anonymous && tag == "": // its fields inline into the object
+			case !f.IsExported() || tag == "-":
+				continue
+			case founding[name]:
+				delete(founding, name)
+			case !strings.Contains(","+opts+",", ",omitempty,"):
+				t.Errorf("%s (json:%q) always serializes, so adding such a field moves every existing key; tag it omitempty or \"-\"", name, tag)
+			}
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeOf(hmcsim.Spec{}))
+	for name := range founding {
+		t.Errorf("founding field %s is no longer in the key", name)
 	}
 }
 
