@@ -138,13 +138,12 @@ func TestBucketLabelBoundaries(t *testing.T) {
 	}
 }
 
-// TestNilTracersAreNoOps is the zero-cost-when-off contract: components
-// call hooks unconditionally on possibly-nil pointers, and every tracer
-// they hold comes from a SystemTracer. So every exported method of every
-// tracer type reachable from SystemTracer (named ...Tracer, ...Track or
-// Timeline) must be safe on a nil receiver, and the per-event hooks must
-// not allocate there either.
-func TestNilTracersAreNoOps(t *testing.T) {
+// TestTracerMethodsAreNilSafe: components call hooks unconditionally on
+// possibly-nil pointers, and every tracer they hold comes from a
+// SystemTracer. So every exported method of every tracer type reachable
+// from SystemTracer (named ...Tracer, ...Track or Timeline) must be safe
+// on a nil receiver.
+func TestTracerMethodsAreNilSafe(t *testing.T) {
 	seen := map[reflect.Type]bool{}
 	var walk func(reflect.Type)
 	walk = func(typ reflect.Type) {
@@ -186,7 +185,12 @@ func TestNilTracersAreNoOps(t *testing.T) {
 	if methods < 14 { // the hooks of SystemTracer, its four component tracers and the timeline
 		t.Fatalf("walk reached %d tracer methods, want at least 14", methods)
 	}
+}
 
+// TestNilTracersAreNoOps is the zero-cost-when-off contract: every hook
+// must be safe and allocation-free on a nil receiver, because components
+// call them unconditionally on possibly-nil pointers.
+func TestNilTracersAreNoOps(t *testing.T) {
 	var vt *VaultTracer
 	var lt *LinkTracer
 	var nt *NoCTracer
