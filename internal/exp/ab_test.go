@@ -41,6 +41,8 @@ func quickResult(t *testing.T, name string) hmcsim.Result {
 // pre-optimization (container/heap + slice-FIFO + per-packet-alloc)
 // kernel. Any change to event ordering, queue semantics, or packet
 // lifetime that alters simulation results shows up here as a diff.
+// The rendered Text, which hmcsim prints and hmcsimd caches but JSON
+// omits, is pinned beside it in <name>.txt.
 //
 // Regenerate the snapshots (only when a result change is intended and
 // understood) with:
@@ -59,23 +61,29 @@ func TestABGuard(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			got, err := quickResult(t, name).JSON()
+			res := quickResult(t, name)
+			blob, err := res.JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "ab", name+".json")
-			if update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
+			for _, f := range []struct {
+				ext string
+				got []byte
+			}{{".json", blob}, {".txt", []byte(res.Text)}} {
+				path := filepath.Join("testdata", "ab", name+f.ext)
+				if update {
+					if err := os.WriteFile(path, f.got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden snapshot (run with HMCSIM_AB_UPDATE=1 to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: Result JSON differs from the pre-optimization golden snapshot (%d vs %d bytes); the kernel change altered simulation behavior", name, len(got), len(want))
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden snapshot (run with HMCSIM_AB_UPDATE=1 to create): %v", err)
+				}
+				if !bytes.Equal(f.got, want) {
+					t.Errorf("%s: Result %s differs from the golden snapshot (%d vs %d bytes); the change altered simulation behavior or its rendering", name, f.ext, len(f.got), len(want))
+				}
 			}
 		})
 	}
