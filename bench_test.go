@@ -1,13 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper, plus
-// ablations of the model's design choices: bank queue depth, page
-// policy, link count, NoC buffering and the read/write mix. Each benchmark
-// runs the corresponding experiment on reduced (Quick) sweeps and reports
-// its headline numbers as custom metrics, so
+// Benchmarks of every registered experiment on reduced (Quick) sweeps,
+// one sub-benchmark per runner, plus ablations of the model's design
+// choices: bank queue depth, page policy, link count, NoC buffering and
+// the read/write mix. Each ablation reports its two sides as custom
+// metrics, so
 //
 //	go test -bench=. -benchmem
 //
-// prints a compact reproduction summary. The hmcsim CLI runs the full
-// paper-scale sweeps.
+// prints them beside the runners' timings. `hmcsim -exp <name> -quick`
+// prints each experiment's headline numbers; the CLI without -quick
+// runs the full paper-scale sweeps.
 package hmcsim_test
 
 import (
@@ -90,103 +91,6 @@ func TestBenchSweep(t *testing.T) {
 	}
 	if err := os.WriteFile("BENCH_sweep.json", append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.TableI()
-		if len(r.Rows) != 4 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-func BenchmarkEq1PeakBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.PeakBandwidth()
-		b.ReportMetric(r.Peak.GBpsValue(), "GB/s-peak")
-	}
-}
-
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig6(ctx, quick)
-		if p, ok := r.Point("16 vaults", 128); ok {
-			b.ReportMetric(p.GBps, "GB/s-spread128")
-			b.ReportMetric(p.AvgLatNs, "ns-spread128")
-		}
-		if p, ok := r.Point("1 bank", 128); ok {
-			b.ReportMetric(p.AvgLatNs, "ns-1bank128")
-		}
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig7(ctx, quick)
-		if p, ok := r.Point(128, 55); ok {
-			b.ReportMetric(p.AvgLatNs, "ns-128B-n55")
-		}
-		if p, ok := r.Point(16, 1); ok {
-			b.ReportMetric(p.AvgLatNs, "ns-noload")
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig8(ctx, quick)
-		if p, ok := r.Point(128, 350); ok {
-			b.ReportMetric(p.AvgLatNs, "ns-128B-plateau")
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig9(ctx, quick)
-		b.ReportMetric(r.CollisionPenalty(1, 64), "x-collision64")
-		b.ReportMetric(r.CollisionPenalty(1, 128), "x-collision128")
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig10(ctx, quick)
-		mean16, sigma16 := r.Stats(16)
-		mean128, sigma128 := r.Stats(128)
-		b.ReportMetric(mean16, "ns-mean16")
-		b.ReportMetric(sigma16, "ns-sigma16")
-		b.ReportMetric(mean128, "ns-mean128")
-		b.ReportMetric(sigma128, "ns-sigma128")
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig13(ctx, quick)
-		if p, ok := r.SaturatedPoint(128, "16 vaults"); ok {
-			b.ReportMetric(p.GBps, "GB/s-ceiling")
-		}
-		if p, ok := r.SaturatedPoint(16, "8 banks"); ok {
-			b.ReportMetric(p.GBps, "GB/s-vaultcap")
-		}
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.Fig14(ctx, quick)
-		b.ReportMetric(r.Average(2), "outstanding-2banks")
-		b.ReportMetric(r.Average(4), "outstanding-4banks")
-	}
-}
-
-func BenchmarkDDRComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.DDRComparison(ctx, quick)
-		b.ReportMetric(r.HMCRandomGBps/r.DDRRandomGBps, "x-hmc-vs-ddr")
 	}
 }
 

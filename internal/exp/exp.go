@@ -1,13 +1,13 @@
 // Package exp contains one runner per table and figure of the paper's
-// evaluation (Section IV). Each runner builds fresh systems from a base
-// configuration, drives the same workloads the paper describes, and
-// returns a typed result whose String method prints the rows or series
+// evaluation (Section IV), plus the synthetic traffic sweeps. Each
+// runner builds fresh systems from a base configuration, drives the
+// same workloads the paper describes, and renders a structured,
+// JSON-marshalable hmcsim.Result whose Text prints the rows or series
 // the paper reports.
 //
-// Every runner also registers itself (see registry.go) as a named
-// hmcsim.Runner returning a structured, JSON-marshalable hmcsim.Result;
-// the hmcsim CLI and the bench harness iterate that registry rather
-// than hard-coding the experiment list.
+// The registry (registry.go) is the only way in: one table lists every
+// runner in presentation order, and the hmcsim CLI, hmcsimd and the
+// bench harness iterate it rather than hard-coding the experiment list.
 package exp
 
 import (
@@ -18,21 +18,14 @@ import (
 	"hmcsim"
 )
 
-// Sizes are the request sizes every experiment sweeps (Table I).
-var Sizes = []int{16, 32, 64, 128}
+// sizes are the request sizes every experiment sweeps (Table I).
+var sizes = []int{16, 32, 64, 128}
 
 // Options tune how much work the runners do; it is the public
 // hmcsim.Options (Quick, Seed, Workers). The zero value is the full
 // paper-fidelity configuration run sequentially-or-parallel per
 // runtime.NumCPU().
 type Options = hmcsim.Options
-
-// PatternSpec names one of the paper's access patterns structurally; it
-// is the public hmcsim.PatternSpec.
-type PatternSpec = hmcsim.PatternSpec
-
-// Patterns is the pattern sweep of Figures 6 and 13.
-var Patterns = hmcsim.Patterns
 
 // table is a tiny fixed-width text table builder shared by the results.
 type table struct {

@@ -10,20 +10,24 @@ import (
 	"hmcsim/internal/stats"
 )
 
-// VaultComboResult holds the four-vault combination study behind Figures
-// 10, 11 and 12: for every combination of four distinct vaults, four
-// stream ports each hammer one vault; the average latency of the run is
-// attributed to every vault in the combination.
-type VaultComboResult struct {
-	// SamplesByVault[size][vault] lists the attributed combo-average
+// vaultComboResult holds the four-vault combination study behind
+// Figures 10, 11 and 12: for every combination of four distinct vaults,
+// four stream ports each hammer one vault; the average latency of the
+// run is attributed to every vault in the combination.
+type vaultComboResult struct {
+	// samplesByVault[size][vault] lists the attributed combo-average
 	// latencies (ns).
-	SamplesByVault map[int][][]float64
-	Combos         int
+	samplesByVault map[int][][]float64
+	combos         int
 }
 
-// Combinations4 enumerates all C(16,4) = 1820 four-vault combinations in
+// quickComboStride is quick mode's subsample of the combinations:
+// every 16th, 114 of the 1820.
+const quickComboStride = 16
+
+// combinations4 enumerates all C(16,4) = 1820 four-vault combinations in
 // lexicographic order.
-func Combinations4() [][4]int {
+func combinations4() [][4]int {
 	var out [][4]int
 	for a := 0; a < addr.Vaults; a++ {
 		for b := a + 1; b < addr.Vaults; b++ {
@@ -37,27 +41,27 @@ func Combinations4() [][4]int {
 	return out
 }
 
-// Fig10 runs the combination study. Quick mode subsamples the 1820
+// fig10 runs the combination study. Quick mode subsamples the 1820
 // combinations to keep bench times reasonable; the CLI runs the full set.
-func Fig10(ctx context.Context, o Options) VaultComboResult {
-	combos := Combinations4()
+func fig10(ctx context.Context, o Options) vaultComboResult {
+	combos := combinations4()
 	stride := 1
 	if o.Quick {
-		stride = 16 // 114 combos
+		stride = quickComboStride
 	}
 	n := 256
 	if o.Quick {
 		n = 128
 	}
-	res := VaultComboResult{SamplesByVault: map[int][][]float64{}}
+	res := vaultComboResult{samplesByVault: map[int][][]float64{}}
 	// One shared system per size replays every combination; the sizes
 	// are independent systems and fan out across workers.
 	type sizeRun struct {
 		perVault [][]float64
 		combos   int
 	}
-	perSize := hmcsim.Sweep(ctx, o.Workers, len(Sizes), func(si int) sizeRun {
-		size := Sizes[si]
+	perSize := hmcsim.Sweep(ctx, o.Workers, len(sizes), func(si int) sizeRun {
+		size := sizes[si]
 		run := sizeRun{perVault: make([][]float64, addr.Vaults)}
 		sys := o.NewSystemCtx(ctx)
 		for ci := 0; ci < len(combos); ci += stride {
@@ -85,47 +89,45 @@ func Fig10(ctx context.Context, o Options) VaultComboResult {
 		}
 		return run
 	})
-	for si, size := range Sizes {
-		res.SamplesByVault[size] = perSize[si].perVault
+	for si, size := range sizes {
+		res.samplesByVault[size] = perSize[si].perVault
 	}
-	res.Combos = perSize[0].combos
+	res.combos = perSize[0].combos
 	return res
 }
 
-// Stats returns the mean and standard deviation of all attributed
-// latencies for one size — the bars of Figure 11.
-func (r VaultComboResult) Stats(size int) (mean, sigma float64) {
+// pooled returns every attributed latency for one size.
+func (r vaultComboResult) pooled(size int) stats.Stream {
 	var s stats.Stream
-	for _, vs := range r.SamplesByVault[size] {
+	for _, vs := range r.samplesByVault[size] {
 		for _, x := range vs {
 			s.Add(x)
 		}
 	}
-	return s.Mean(), s.StdDev()
+	return s
 }
 
-// Range returns the spread (max-min) of attributed latencies for a size,
-// the "range of latency variations" quoted in Section IV-D.
-func (r VaultComboResult) Range(size int) float64 {
-	var s stats.Stream
-	for _, vs := range r.SamplesByVault[size] {
-		for _, x := range vs {
+// correlation quantifies the Figure 12 claim that vault position barely
+// matters: the Pearson correlation between vault number and that vault's
+// mean attributed latency should be near zero.
+func (r vaultComboResult) correlation(size int) float64 {
+	var xs, ys []float64
+	for v, samples := range r.samplesByVault[size] {
+		var s stats.Stream
+		for _, x := range samples {
 			s.Add(x)
 		}
+		xs = append(xs, float64(v))
+		ys = append(ys, s.Mean())
 	}
-	return s.Max() - s.Min()
+	return stats.Pearson(xs, ys)
 }
 
-// VaultHistograms builds the per-vault latency histograms of Figure 10
+// vaultHistograms builds the per-vault latency histograms of Figure 10
 // for one size: one histogram per vault over nine bins spanning the
 // observed range.
-func (r VaultComboResult) VaultHistograms(size int) []*stats.Histogram {
-	var all stats.Stream
-	for _, vs := range r.SamplesByVault[size] {
-		for _, x := range vs {
-			all.Add(x)
-		}
-	}
+func (r vaultComboResult) vaultHistograms(size int) []*stats.Histogram {
+	all := r.pooled(size)
 	lo, hi := all.Min(), all.Max()
 	if hi <= lo {
 		hi = lo + 1
@@ -133,17 +135,17 @@ func (r VaultComboResult) VaultHistograms(size int) []*stats.Histogram {
 	hists := make([]*stats.Histogram, addr.Vaults)
 	for v := range hists {
 		hists[v] = stats.NewHistogram(lo, hi, 9)
-		for _, x := range r.SamplesByVault[size][v] {
+		for _, x := range r.samplesByVault[size][v] {
 			hists[v].Add(x)
 		}
 	}
 	return hists
 }
 
-// Heatmap renders Figure 10 for one size: rows are vaults, columns are
-// latency intervals, intensity is the per-vault normalized count.
-func (r VaultComboResult) Heatmap(size int) stats.Heatmap {
-	hists := r.VaultHistograms(size)
+// heatmap renders Figure 10 from one size's vault histograms: rows are
+// vaults, columns are latency intervals, intensity is the per-vault
+// normalized count.
+func heatmap(hists []*stats.Histogram) stats.Heatmap {
 	m := stats.Heatmap{RowLabel: "vault", ColLabel: "latency (ns)"}
 	for i := 0; i < 9; i++ {
 		m.ColNames = append(m.ColNames, fmt.Sprintf("%5.0f", hists[0].BinCenter(i)))
@@ -155,11 +157,10 @@ func (r VaultComboResult) Heatmap(size int) stats.Heatmap {
 	return m
 }
 
-// TransposeHeatmap renders Figure 12 for one size: rows are latency
-// intervals, columns are vaults, each row normalized by its own maximum
-// (as the paper does).
-func (r VaultComboResult) TransposeHeatmap(size int) stats.Heatmap {
-	hists := r.VaultHistograms(size)
+// transposeHeatmap renders Figure 12 from one size's vault histograms:
+// rows are latency intervals, columns are vaults, each row normalized by
+// its own maximum (as the paper does).
+func transposeHeatmap(hists []*stats.Histogram) stats.Heatmap {
 	m := stats.Heatmap{RowLabel: "lat (ns)", ColLabel: "vault"}
 	for v := range hists {
 		m.ColNames = append(m.ColNames, fmt.Sprintf("%2d", v))
@@ -184,42 +185,35 @@ func (r VaultComboResult) TransposeHeatmap(size int) stats.Heatmap {
 	return m
 }
 
-func (r VaultComboResult) String() string {
-	out := fmt.Sprintf("Figures 10-12: %d four-vault combinations per size\n", r.Combos)
-	t := table{header: []string{"Size", "Mean (ns)", "StdDev (ns)", "Range (ns)"}}
-	for _, size := range Sizes {
-		mean, sigma := r.Stats(size)
-		t.addRow(fmt.Sprintf("%dB", size),
-			fmt.Sprintf("%.0f", mean),
-			fmt.Sprintf("%.1f", sigma),
-			fmt.Sprintf("%.0f", r.Range(size)))
-	}
-	out += "Figure 11: average and standard deviation across vaults\n" + t.String()
-	for _, size := range Sizes {
-		out += fmt.Sprintf("\nFigure 10 heatmap, %dB (rows=vaults, cols=latency bins):\n%s",
-			size, r.Heatmap(size).Render())
-	}
-	for _, size := range Sizes {
-		out += fmt.Sprintf("\nFigure 12 heatmap, %dB (rows=latency bins, cols=vaults):\n%s",
-			size, r.TransposeHeatmap(size).Render())
-	}
-	return out
-}
-
-// Result converts to the structured form: per-size summary statistics
-// plus the vault-position correlation, the paper's headline claim.
-func (r VaultComboResult) Result() hmcsim.Result {
+// result renders per-size summary statistics plus the vault-position
+// correlation, the paper's headline claim, and the Figure 10 and 12
+// heatmaps as text.
+func (r vaultComboResult) result() hmcsim.Result {
 	mean := hmcsim.Series{Name: "mean-latency", Unit: "ns"}
 	sigma := hmcsim.Series{Name: "stddev-latency", Unit: "ns"}
 	span := hmcsim.Series{Name: "range-latency", Unit: "ns"}
 	corr := hmcsim.Series{Name: "vault-position-correlation", Unit: "pearson"}
-	for _, size := range Sizes {
-		m, s := r.Stats(size)
+	t := table{header: []string{"Size", "Mean (ns)", "StdDev (ns)", "Range (ns)"}}
+	var fig10, fig12 string
+	for _, size := range sizes {
+		all := r.pooled(size)
+		m, s, rng := all.Mean(), all.StdDev(), all.Max()-all.Min()
 		x := float64(size)
 		mean.Points = append(mean.Points, hmcsim.Point{X: x, Y: m})
 		sigma.Points = append(sigma.Points, hmcsim.Point{X: x, Y: s})
-		span.Points = append(span.Points, hmcsim.Point{X: x, Y: r.Range(size)})
-		corr.Points = append(corr.Points, hmcsim.Point{X: x, Y: r.Correlation(size)})
+		span.Points = append(span.Points, hmcsim.Point{X: x, Y: rng})
+		corr.Points = append(corr.Points, hmcsim.Point{X: x, Y: r.correlation(size)})
+		t.addRow(fmt.Sprintf("%dB", size),
+			fmt.Sprintf("%.0f", m),
+			fmt.Sprintf("%.1f", s),
+			fmt.Sprintf("%.0f", rng))
+		hists := r.vaultHistograms(size)
+		fig10 += fmt.Sprintf("\nFigure 10 heatmap, %dB (rows=vaults, cols=latency bins):\n%s",
+			size, heatmap(hists).Render())
+		fig12 += fmt.Sprintf("\nFigure 12 heatmap, %dB (rows=latency bins, cols=vaults):\n%s",
+			size, transposeHeatmap(hists).Render())
 	}
-	return hmcsim.Result{Series: []hmcsim.Series{mean, sigma, span, corr}, Text: r.String()}
+	text := fmt.Sprintf("Figures 10-12: %d four-vault combinations per size\n", r.combos) +
+		"Figure 11: average and standard deviation across vaults\n" + t.String() + fig10 + fig12
+	return hmcsim.Result{Series: []hmcsim.Series{mean, sigma, span, corr}, Text: text}
 }

@@ -9,31 +9,28 @@ import (
 	"hmcsim/internal/stats"
 )
 
-// Fig14Point is one bar of Figure 14: the estimated number of
+// fig14Point is one bar of Figure 14: the estimated number of
 // outstanding requests inside the cube for a bank-limited pattern at
 // saturation.
-type Fig14Point struct {
-	Banks int
-	Size  int
-	// LittleN is the paper's estimate: measured request rate times the
+type fig14Point struct {
+	banks int
+	size  int
+	// littleN is the paper's estimate: measured request rate times the
 	// time a request spends inside the memory (Little's law).
-	LittleN float64
-	// SampledN is the simulator's ground truth: the time-averaged
+	littleN float64
+	// sampledN is the simulator's ground truth: the time-averaged
 	// in-flight count inside the cube.
-	SampledN float64
+	sampledN float64
 }
 
-// Fig14Result holds the bars plus the per-bank averages.
-type Fig14Result struct {
-	Points []Fig14Point
-}
+type fig14Result []fig14Point
 
-// Fig14 reproduces the Little's-law analysis of Section IV-F: saturate
+// fig14 reproduces the Little's-law analysis of Section IV-F: saturate
 // the two- and four-bank patterns with all nine ports, estimate the
 // outstanding requests, and observe the roughly linear growth with bank
 // count that implies a queue per bank in the vault controller.
-func Fig14(ctx context.Context, o Options) Fig14Result {
-	points := hmcsim.Sweep2(ctx, o.Workers, []int{2, 4}, Sizes, func(banks, size int) Fig14Point {
+func fig14(ctx context.Context, o Options) fig14Result {
+	return hmcsim.Sweep2(ctx, o.Workers, []int{2, 4}, sizes, func(banks, size int) fig14Point {
 		sys := o.NewSystemCtx(ctx)
 		pat := sys.Banks(banks)
 		r := sys.RunGUPS(core.GUPSSpec{
@@ -43,24 +40,23 @@ func Fig14(ctx context.Context, o Options) Fig14Result {
 			Warmup:  o.Warmup() * 2, // bank queues take longer to fill
 			Window:  o.Window(),
 		})
-		return Fig14Point{
-			Banks:    banks,
-			Size:     size,
-			LittleN:  stats.Little(r.ReadRate(), r.AvgHMCLat.Seconds()),
-			SampledN: r.HMCOutstanding,
+		return fig14Point{
+			banks:    banks,
+			size:     size,
+			littleN:  stats.Little(r.ReadRate(), r.AvgHMCLat.Seconds()),
+			sampledN: r.HMCOutstanding,
 		}
 	})
-	return Fig14Result{Points: points}
 }
 
-// Average returns the mean LittleN across sizes for a bank count, the
+// average returns the mean littleN across sizes for a bank count, the
 // "288 for two banks and 535 for four banks, in average" figure.
-func (r Fig14Result) Average(banks int) float64 {
+func (r fig14Result) average(banks int) float64 {
 	var sum float64
 	var n int
-	for _, p := range r.Points {
-		if p.Banks == banks {
-			sum += p.LittleN
+	for _, p := range r {
+		if p.banks == banks {
+			sum += p.littleN
 			n++
 		}
 	}
@@ -70,39 +66,36 @@ func (r Fig14Result) Average(banks int) float64 {
 	return sum / float64(n)
 }
 
-func (r Fig14Result) String() string {
-	t := table{header: []string{"Size", "2 banks (Little)", "2 banks (sampled)", "4 banks (Little)", "4 banks (sampled)"}}
+// result renders the Little's-law estimate and the simulator's sampled
+// ground truth, labeled by bank count with X = request size, and a
+// table with one row per size.
+func (r fig14Result) result() hmcsim.Result {
+	little := hmcsim.Series{Name: "little-outstanding", Unit: "transactions"}
+	sampled := hmcsim.Series{Name: "sampled-outstanding", Unit: "transactions"}
 	bySize := map[int][4]float64{}
-	for _, p := range r.Points {
-		e := bySize[p.Size]
-		if p.Banks == 2 {
-			e[0], e[1] = p.LittleN, p.SampledN
+	for _, p := range r {
+		label := fmt.Sprintf("%dbanks", p.banks)
+		little.Points = append(little.Points, hmcsim.Point{Label: label, X: float64(p.size), Y: p.littleN})
+		sampled.Points = append(sampled.Points, hmcsim.Point{Label: label, X: float64(p.size), Y: p.sampledN})
+		e := bySize[p.size]
+		if p.banks == 2 {
+			e[0], e[1] = p.littleN, p.sampledN
 		} else {
-			e[2], e[3] = p.LittleN, p.SampledN
+			e[2], e[3] = p.littleN, p.sampledN
 		}
-		bySize[p.Size] = e
+		bySize[p.size] = e
 	}
+	t := table{header: []string{"Size", "2 banks (Little)", "2 banks (sampled)", "4 banks (Little)", "4 banks (sampled)"}}
 	for _, size := range sortedKeys(bySize) {
 		e := bySize[size]
 		t.addRow(fmt.Sprintf("%dB", size),
 			fmt.Sprintf("%.0f", e[0]), fmt.Sprintf("%.0f", e[1]),
 			fmt.Sprintf("%.0f", e[2]), fmt.Sprintf("%.0f", e[3]))
 	}
-	return fmt.Sprintf(
-		"Figure 14: estimated outstanding requests (avg: 2 banks=%.0f, 4 banks=%.0f)\n%s",
-		r.Average(2), r.Average(4), t.String())
-}
-
-// Result converts to the structured form: the Little's-law estimate and
-// the simulator's sampled ground truth, labeled by bank count with
-// X = request size.
-func (r Fig14Result) Result() hmcsim.Result {
-	little := hmcsim.Series{Name: "little-outstanding", Unit: "transactions"}
-	sampled := hmcsim.Series{Name: "sampled-outstanding", Unit: "transactions"}
-	for _, p := range r.Points {
-		label := fmt.Sprintf("%dbanks", p.Banks)
-		little.Points = append(little.Points, hmcsim.Point{Label: label, X: float64(p.Size), Y: p.LittleN})
-		sampled.Points = append(sampled.Points, hmcsim.Point{Label: label, X: float64(p.Size), Y: p.SampledN})
+	return hmcsim.Result{
+		Series: []hmcsim.Series{little, sampled},
+		Text: fmt.Sprintf(
+			"Figure 14: estimated outstanding requests (avg: 2 banks=%.0f, 4 banks=%.0f)\n%s",
+			r.average(2), r.average(4), t.String()),
 	}
-	return hmcsim.Result{Series: []hmcsim.Series{little, sampled}, Text: r.String()}
 }

@@ -9,25 +9,25 @@ import (
 	"hmcsim/internal/host"
 )
 
-// LowLoadPoint is one (size, n) point of the low-contention latency
+// lowLoadPoint is one (size, n) point of the low-contention latency
 // curves: the average latency of a stream of n random reads confined to
 // the sixteen banks of one vault, averaged over all vaults (Section
 // IV-B).
-type LowLoadPoint struct {
-	Size     int
-	N        int
-	AvgLatNs float64
-	MaxLatNs float64
+type lowLoadPoint struct {
+	size     int
+	n        int
+	avgLatNs float64
+	maxLatNs float64
 }
 
-// LowLoadResult holds one curve family (Figure 7 or Figure 8).
-type LowLoadResult struct {
-	Figure string
-	Points []LowLoadPoint
+// lowLoadResult holds one curve family (Figure 7 or Figure 8).
+type lowLoadResult struct {
+	figure string
+	points []lowLoadPoint
 }
 
-// Fig7 reproduces Figure 7: stream lengths one to 55.
-func Fig7(ctx context.Context, o Options) LowLoadResult {
+// fig7 reproduces Figure 7: stream lengths one to 55.
+func fig7(ctx context.Context, o Options) lowLoadResult {
 	ns := make([]int, 0, 55)
 	step := 1
 	if o.Quick {
@@ -39,9 +39,9 @@ func Fig7(ctx context.Context, o Options) LowLoadResult {
 	return lowLoad(ctx, o, "Figure 7", ns)
 }
 
-// Fig8 reproduces Figure 8: stream lengths one to 350, showing the
+// fig8 reproduces Figure 8: stream lengths one to 350, showing the
 // linear region and the saturated plateau.
-func Fig8(ctx context.Context, o Options) LowLoadResult {
+func fig8(ctx context.Context, o Options) lowLoadResult {
 	step := 10
 	if o.Quick {
 		step = 35
@@ -53,8 +53,8 @@ func Fig8(ctx context.Context, o Options) LowLoadResult {
 	return lowLoad(ctx, o, "Figure 8", ns)
 }
 
-func lowLoad(ctx context.Context, o Options, figure string, ns []int) LowLoadResult {
-	res := LowLoadResult{Figure: figure}
+func lowLoad(ctx context.Context, o Options, figure string, ns []int) lowLoadResult {
+	res := lowLoadResult{figure: figure}
 	vaults := addr.Vaults
 	if o.Quick {
 		vaults = 4
@@ -62,10 +62,10 @@ func lowLoad(ctx context.Context, o Options, figure string, ns []int) LowLoadRes
 	// One system per size; bursts replay back-to-back on one port, each
 	// fully draining before the next starts, as the multi-port stream
 	// software does. Sizes are independent systems, so they fan out.
-	perSize := hmcsim.Sweep(ctx, o.Workers, len(Sizes), func(si int) []LowLoadPoint {
-		size := Sizes[si]
+	perSize := hmcsim.Sweep(ctx, o.Workers, len(sizes), func(si int) []lowLoadPoint {
+		size := sizes[si]
 		sys := o.NewSystemCtx(ctx)
-		points := make([]LowLoadPoint, 0, len(ns))
+		points := make([]lowLoadPoint, 0, len(ns))
 		for _, n := range ns {
 			var agg, max float64
 			for v := 0; v < vaults; v++ {
@@ -77,72 +77,48 @@ func lowLoad(ctx context.Context, o Options, figure string, ns []int) LowLoadRes
 					max = m
 				}
 			}
-			points = append(points, LowLoadPoint{
-				Size:     size,
-				N:        n,
-				AvgLatNs: agg / float64(vaults),
-				MaxLatNs: max,
+			points = append(points, lowLoadPoint{
+				size:     size,
+				n:        n,
+				avgLatNs: agg / float64(vaults),
+				maxLatNs: max,
 			})
 		}
 		return points
 	})
 	for _, pts := range perSize {
-		res.Points = append(res.Points, pts...)
+		res.points = append(res.points, pts...)
 	}
 	return res
 }
 
-// Point returns the entry for a size/n pair.
-func (r LowLoadResult) Point(size, n int) (LowLoadPoint, bool) {
-	for _, p := range r.Points {
-		if p.Size == size && p.N == n {
-			return p, true
-		}
-	}
-	return LowLoadPoint{}, false
-}
-
-// Curve returns the (n, avg latency) series for one size.
-func (r LowLoadResult) Curve(size int) (ns []float64, lat []float64) {
-	for _, p := range r.Points {
-		if p.Size == size {
-			ns = append(ns, float64(p.N))
-			lat = append(lat, p.AvgLatNs)
-		}
-	}
-	return ns, lat
-}
-
-func (r LowLoadResult) String() string {
-	t := table{header: []string{"#Requests", "16B (ns)", "32B (ns)", "64B (ns)", "128B (ns)"}}
+// result renders latency series with points labeled by request size and
+// X = stream length, and a table with one row per stream length.
+func (r lowLoadResult) result() hmcsim.Result {
+	avg := hmcsim.Series{Name: "avg-latency", Unit: "ns"}
+	max := hmcsim.Series{Name: "max-latency", Unit: "ns"}
 	byN := map[int][4]float64{}
-	for _, p := range r.Points {
-		e := byN[p.N]
-		for i, s := range Sizes {
-			if p.Size == s {
-				e[i] = p.AvgLatNs
+	for _, p := range r.points {
+		label := fmt.Sprintf("%dB", p.size)
+		avg.Points = append(avg.Points, hmcsim.Point{Label: label, X: float64(p.n), Y: p.avgLatNs})
+		max.Points = append(max.Points, hmcsim.Point{Label: label, X: float64(p.n), Y: p.maxLatNs})
+		e := byN[p.n]
+		for i, s := range sizes {
+			if p.size == s {
+				e[i] = p.avgLatNs
 			}
 		}
-		byN[p.N] = e
+		byN[p.n] = e
 	}
+	t := table{header: []string{"#Requests", "16B (ns)", "32B (ns)", "64B (ns)", "128B (ns)"}}
 	for _, n := range sortedKeys(byN) {
 		e := byN[n]
 		t.addRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", e[0]), fmt.Sprintf("%.0f", e[1]),
 			fmt.Sprintf("%.0f", e[2]), fmt.Sprintf("%.0f", e[3]))
 	}
-	return r.Figure + ": average low-load latency vs stream length\n" + t.String()
-}
-
-// Result converts to the structured form: latency series with points
-// labeled by request size and X = stream length.
-func (r LowLoadResult) Result() hmcsim.Result {
-	avg := hmcsim.Series{Name: "avg-latency", Unit: "ns"}
-	max := hmcsim.Series{Name: "max-latency", Unit: "ns"}
-	for _, p := range r.Points {
-		label := fmt.Sprintf("%dB", p.Size)
-		avg.Points = append(avg.Points, hmcsim.Point{Label: label, X: float64(p.N), Y: p.AvgLatNs})
-		max.Points = append(max.Points, hmcsim.Point{Label: label, X: float64(p.N), Y: p.MaxLatNs})
+	return hmcsim.Result{
+		Series: []hmcsim.Series{avg, max},
+		Text:   r.figure + ": average low-load latency vs stream length\n" + t.String(),
 	}
-	return hmcsim.Result{Series: []hmcsim.Series{avg, max}, Text: r.String()}
 }

@@ -7,90 +7,63 @@ import (
 	"hmcsim"
 )
 
-// Meta describes a registered experiment for listings and result
-// titles.
-type Meta struct {
-	// Title is the human headline, e.g. "Figure 6: read latency vs
-	// bandwidth per access pattern".
-	Title string
+// registry lists every experiment in the presentation order of `-exp
+// all`: the paper's tables and figures, then the synthetic traffic
+// sweeps.
+var registry = []entry{
+	{"table1", "Table I: HMC request/response read/write sizes", sweep(tableI)},
+	{"eq1", "Equation 1: peak bi-directional link bandwidth", sweep(peakBandwidth)},
+	{"fig6", "Figure 6: read latency vs bi-directional bandwidth per access pattern", sweep(fig6)},
+	{"fig7", "Figure 7: low-load latency vs stream length (1-55)", sweep(fig7)},
+	{"fig8", "Figure 8: low-load latency vs stream length (1-350)", sweep(fig8)},
+	{"fig9", "Figure 9: QoS collision study, 3 pinned ports + 1 sweeping port", sweep(fig9)},
+	{"fig10", "Figures 10-12: four-vault combination latency study", sweep(fig10)},
+	{"fig13", "Figure 13: bandwidth vs active ports per access pattern", sweep(fig13)},
+	{"fig14", "Figure 14: outstanding requests via Little's law", sweep(fig14)},
+	{"ddr", "DDR3 baseline comparison (Section IV-B)", sweep(ddrComparison)},
+	{"traffic-zipf", "Synthetic traffic: latency/bandwidth vs zipf skew", sweep(trafficZipf)},
+	{"traffic-mix", "Synthetic traffic: markov read/write mix sweep", sweep(trafficMix)},
+	{"traffic-burst", "Synthetic traffic: steady vs bursty open-loop injection", sweep(trafficBurst)},
+	{hmcsim.TrafficExp, "Synthetic traffic: run the spec in options.traffic", sweep(trafficSpec)},
 }
 
-// RunnerFunc is a registered experiment body: it returns the structured
-// result, or ctx's error when the run was cancelled mid-sweep. The
-// typed and plain adapters build one from the common experiment shapes
-// with the cancellation check already in place.
-type RunnerFunc func(context.Context, Options) (hmcsim.Result, error)
-
-// typed adapts an experiment returning a typed result (Fig6Result,
-// TableIResult, ...). The Result() conversion runs only after the
-// cancellation check: a cancelled sweep leaves zero-valued slots that
-// must never reach the conversion — they would serialize as real data
-// points, or crash conversions that compute on them (fig10's Pearson
-// correlation over empty samples, for one).
-func typed[T interface{ Result() hmcsim.Result }](fn func(context.Context, Options) T) RunnerFunc {
+// sweep adapts an experiment's sweep to a registry entry. The render
+// runs only after the cancellation check: a cancelled sweep leaves
+// zero-valued slots that must never reach it — they would serialize as
+// real data points, or crash renders that compute on them (fig10's
+// Pearson correlation over empty samples, for one).
+func sweep[T interface{ result() hmcsim.Result }](fn func(context.Context, Options) T) func(context.Context, Options) (hmcsim.Result, error) {
 	return func(ctx context.Context, o Options) (hmcsim.Result, error) {
 		r := fn(ctx, o)
 		if err := ctx.Err(); err != nil {
 			return hmcsim.Result{}, err
 		}
-		return r.Result(), nil
-	}
-}
-
-// plain adapts an experiment that already returns the structured form,
-// applying the same after-sweep cancellation check as typed.
-func plain(fn func(context.Context, Options) hmcsim.Result) RunnerFunc {
-	return func(ctx context.Context, o Options) (hmcsim.Result, error) {
-		r := fn(ctx, o)
-		if err := ctx.Err(); err != nil {
-			return hmcsim.Result{}, err
-		}
-		return r, nil
+		return r.result(), nil
 	}
 }
 
 // entry implements hmcsim.Runner for one registered experiment.
 type entry struct {
-	name string
-	meta Meta
-	fn   RunnerFunc
+	name, title string
+	run         func(context.Context, Options) (hmcsim.Result, error)
 }
 
 func (e entry) Name() string     { return e.name }
-func (e entry) Describe() string { return e.meta.Title }
+func (e entry) Describe() string { return e.title }
 
 // Run executes the experiment and stamps the registry metadata and the
-// options onto the result. Cancelling ctx aborts between sweep points;
-// the partially-zeroed sweep output is then discarded — every
-// registered experiment returns ctx's error rather than a Result whose
-// unscheduled slots silently serialize as real zero-valued data points.
+// options onto the result. Cancelling ctx aborts between sweep points
+// and returns ctx's error rather than a Result whose unscheduled slots
+// would serialize as real zero-valued data points.
 func (e entry) Run(ctx context.Context, o Options) (hmcsim.Result, error) {
-	res, err := e.fn(ctx, o)
-	if err == nil {
-		err = ctx.Err() // belt and braces for hand-rolled RunnerFuncs
-	}
+	res, err := e.run(ctx, o)
 	if err != nil {
 		return hmcsim.Result{}, err
 	}
 	res.Name = e.name
-	res.Title = e.meta.Title
+	res.Title = e.title
 	res.Options = o
 	return res, nil
-}
-
-var (
-	registry []entry
-	byName   = map[string]int{}
-)
-
-// Register adds a named experiment. Names must be unique; registration
-// order is the presentation order of `-exp all`.
-func Register(name string, meta Meta, fn RunnerFunc) {
-	if _, dup := byName[name]; dup {
-		panic(fmt.Sprintf("exp: duplicate runner %q", name))
-	}
-	byName[name] = len(registry)
-	registry = append(registry, entry{name: name, meta: meta, fn: fn})
 }
 
 // Runners returns every registered experiment in registration order.
@@ -114,11 +87,12 @@ func Names() []string {
 // Runner looks one registered experiment up by name without running
 // it, so callers can validate a whole selection before starting work.
 func Runner(name string) (hmcsim.Runner, error) {
-	i, ok := byName[name]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", name, Names())
+	for _, e := range registry {
+		if e.name == name {
+			return e, nil
+		}
 	}
-	return registry[i], nil
+	return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", name, Names())
 }
 
 // Run executes one registered experiment by name. Cancelling ctx makes
@@ -129,31 +103,4 @@ func Run(ctx context.Context, name string, o Options) (hmcsim.Result, error) {
 		return hmcsim.Result{}, err
 	}
 	return r.Run(ctx, o)
-}
-
-// The paper's tables and figures, in presentation order. Each defers to
-// the typed runner, so the typed APIs (Fig6, TableI, ...) remain
-// available to tests that assert on curve shapes; the typed adapter
-// holds the conversion back until the sweep is known to have completed.
-func init() {
-	Register("table1", Meta{Title: "Table I: HMC request/response read/write sizes"},
-		typed(func(ctx context.Context, o Options) TableIResult { return TableI() }))
-	Register("eq1", Meta{Title: "Equation 1: peak bi-directional link bandwidth"},
-		typed(func(ctx context.Context, o Options) PeakBandwidthResult { return PeakBandwidth() }))
-	Register("fig6", Meta{Title: "Figure 6: read latency vs bi-directional bandwidth per access pattern"},
-		typed(Fig6))
-	Register("fig7", Meta{Title: "Figure 7: low-load latency vs stream length (1-55)"},
-		typed(Fig7))
-	Register("fig8", Meta{Title: "Figure 8: low-load latency vs stream length (1-350)"},
-		typed(Fig8))
-	Register("fig9", Meta{Title: "Figure 9: QoS collision study, 3 pinned ports + 1 sweeping port"},
-		typed(Fig9))
-	Register("fig10", Meta{Title: "Figures 10-12: four-vault combination latency study"},
-		typed(Fig10))
-	Register("fig13", Meta{Title: "Figure 13: bandwidth vs active ports per access pattern"},
-		typed(Fig13))
-	Register("fig14", Meta{Title: "Figure 14: outstanding requests via Little's law"},
-		typed(Fig14))
-	Register("ddr", Meta{Title: "DDR3 baseline comparison (Section IV-B)"},
-		typed(DDRComparison))
 }

@@ -38,6 +38,17 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// cancelSweep is a sweep's output for TestRunCanceledMidSweepReturnsError.
+type cancelSweep []float64
+
+func (v cancelSweep) result() hmcsim.Result {
+	s := hmcsim.Series{Name: "vals"}
+	for i, y := range v {
+		s.Points = append(s.Points, hmcsim.Point{X: float64(i), Y: y})
+	}
+	return hmcsim.Result{Series: []hmcsim.Series{s}}
+}
+
 // TestRunCanceledMidSweepReturnsError is the regression test for the
 // partial-result bug: a context cancelled mid-sweep used to yield a
 // Result whose unscheduled sweep slots were zero values, which `-format
@@ -48,19 +59,14 @@ func TestRunCanceledMidSweepReturnsError(t *testing.T) {
 	// An entry whose sweep cancels itself partway: points 0 and 1 run,
 	// the rest keep their zero values — exactly the shape a Ctrl-C
 	// leaves behind.
-	e := entry{name: "cancelcheck", meta: Meta{Title: "cancels itself mid-sweep"},
-		fn: plain(func(ctx context.Context, o Options) hmcsim.Result {
-			vals := hmcsim.Sweep(ctx, 1, 8, func(i int) float64 {
+	e := entry{name: "cancelcheck", title: "cancels itself mid-sweep",
+		run: sweep(func(ctx context.Context, o Options) cancelSweep {
+			return hmcsim.Sweep(ctx, 1, 8, func(i int) float64 {
 				if i == 1 {
 					cancel()
 				}
 				return float64(i + 1)
 			})
-			s := hmcsim.Series{Name: "vals"}
-			for i, v := range vals {
-				s.Points = append(s.Points, hmcsim.Point{X: float64(i), Y: v})
-			}
-			return hmcsim.Result{Series: []hmcsim.Series{s}}
 		})}
 	res, err := e.Run(ctx, Options{})
 	if !errors.Is(err, context.Canceled) {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"hmcsim"
@@ -8,105 +9,91 @@ import (
 	"hmcsim/internal/phys"
 )
 
-// TableIResult reproduces Table I: request/response sizes in flits for
-// reads and writes at every payload size, plus the derived link
-// efficiency figures quoted in Section IV-A.
-type TableIResult struct {
-	Rows []TableIRow
+// tableIRow is one payload size's entry of Table I: request/response
+// sizes in flits for reads and writes, plus the derived link efficiency
+// quoted in Section IV-A.
+type tableIRow struct {
+	size                int
+	readReq, readResp   int // flits
+	writeReq, writeResp int // flits
+	readEfficiency      float64
 }
 
-// TableIRow is one payload size's entry.
-type TableIRow struct {
-	Size                int
-	ReadReq, ReadResp   int // flits
-	WriteReq, WriteResp int // flits
-	ReadEfficiency      float64
-}
+type tableIResult []tableIRow
 
-// TableI computes the table from the packet model.
-func TableI() TableIResult {
-	var res TableIResult
-	for _, size := range Sizes {
-		res.Rows = append(res.Rows, TableIRow{
-			Size:           size,
-			ReadReq:        packet.RequestFlits(false, size),
-			ReadResp:       packet.ResponseFlits(false, size),
-			WriteReq:       packet.RequestFlits(true, size),
-			WriteResp:      packet.ResponseFlits(true, size),
-			ReadEfficiency: packet.Efficiency(size),
+// tableI computes the table from the packet model.
+func tableI(context.Context, Options) tableIResult {
+	var rows tableIResult
+	for _, size := range sizes {
+		rows = append(rows, tableIRow{
+			size:           size,
+			readReq:        packet.RequestFlits(false, size),
+			readResp:       packet.ResponseFlits(false, size),
+			writeReq:       packet.RequestFlits(true, size),
+			writeResp:      packet.ResponseFlits(true, size),
+			readEfficiency: packet.Efficiency(size),
 		})
 	}
-	return res
+	return rows
 }
 
-func (r TableIResult) String() string {
+// result renders packet sizes in flits and the derived read efficiency,
+// X = request size.
+func (rows tableIResult) result() hmcsim.Result {
+	series := []hmcsim.Series{
+		{Name: "read-req-flits", Unit: "flits"},
+		{Name: "read-resp-flits", Unit: "flits"},
+		{Name: "write-req-flits", Unit: "flits"},
+		{Name: "write-resp-flits", Unit: "flits"},
+		{Name: "read-efficiency", Unit: "fraction"},
+	}
 	t := table{header: []string{"Size", "RD req", "RD resp", "WR req", "WR resp", "RD efficiency"}}
-	for _, row := range r.Rows {
+	for _, row := range rows {
+		x := float64(row.size)
+		for i, y := range []float64{
+			float64(row.readReq), float64(row.readResp),
+			float64(row.writeReq), float64(row.writeResp),
+			row.readEfficiency,
+		} {
+			series[i].Points = append(series[i].Points, hmcsim.Point{X: x, Y: y})
+		}
 		t.addRow(
-			fmt.Sprintf("%dB", row.Size),
-			fmt.Sprintf("%d flit", row.ReadReq),
-			fmt.Sprintf("%d flits", row.ReadResp),
-			fmt.Sprintf("%d flits", row.WriteReq),
-			fmt.Sprintf("%d flit", row.WriteResp),
-			fmt.Sprintf("%.0f%%", row.ReadEfficiency*100),
+			fmt.Sprintf("%dB", row.size),
+			fmt.Sprintf("%d flit", row.readReq),
+			fmt.Sprintf("%d flits", row.readResp),
+			fmt.Sprintf("%d flits", row.writeReq),
+			fmt.Sprintf("%d flit", row.writeResp),
+			fmt.Sprintf("%.0f%%", row.readEfficiency*100),
 		)
 	}
-	return "Table I: HMC request/response read/write sizes\n" + t.String()
+	return hmcsim.Result{Series: series, Text: "Table I: HMC request/response read/write sizes\n" + t.String()}
 }
 
-// PeakBandwidthResult reproduces Equation 1.
-type PeakBandwidthResult struct {
-	Links    int
-	Lanes    int
-	LaneGbps float64
-	Peak     phys.Bandwidth
+// peakBandwidthResult reproduces Equation 1.
+type peakBandwidthResult struct {
+	links, lanes int
+	laneGbps     float64
+	peak         phys.Bandwidth
 }
 
-// PeakBandwidth evaluates Equation 1 for the AC-510 configuration.
-func PeakBandwidth() PeakBandwidthResult {
-	return PeakBandwidthResult{
-		Links:    2,
-		Lanes:    8,
-		LaneGbps: 15,
-		Peak:     phys.PeakBidirectional(2, 8, phys.Gbps(15)),
+// peakBandwidth evaluates Equation 1 for the AC-510 configuration.
+func peakBandwidth(context.Context, Options) peakBandwidthResult {
+	return peakBandwidthResult{
+		links:    2,
+		lanes:    8,
+		laneGbps: 15,
+		peak:     phys.PeakBidirectional(2, 8, phys.Gbps(15)),
 	}
 }
 
-func (r PeakBandwidthResult) String() string {
-	return fmt.Sprintf(
-		"Equation 1: BWpeak = %d links x %d lanes/link x %.0f Gb/s x 2 duplex = %s",
-		r.Links, r.Lanes, r.LaneGbps, r.Peak)
-}
-
-// Result converts Table I to the structured form: packet sizes in flits
-// and the derived read efficiency, X = request size.
-func (r TableIResult) Result() hmcsim.Result {
-	mk := func(name, unit string, get func(TableIRow) float64) hmcsim.Series {
-		s := hmcsim.Series{Name: name, Unit: unit}
-		for _, row := range r.Rows {
-			s.Points = append(s.Points, hmcsim.Point{X: float64(row.Size), Y: get(row)})
-		}
-		return s
-	}
-	return hmcsim.Result{
-		Series: []hmcsim.Series{
-			mk("read-req-flits", "flits", func(r TableIRow) float64 { return float64(r.ReadReq) }),
-			mk("read-resp-flits", "flits", func(r TableIRow) float64 { return float64(r.ReadResp) }),
-			mk("write-req-flits", "flits", func(r TableIRow) float64 { return float64(r.WriteReq) }),
-			mk("write-resp-flits", "flits", func(r TableIRow) float64 { return float64(r.WriteResp) }),
-			mk("read-efficiency", "fraction", func(r TableIRow) float64 { return r.ReadEfficiency }),
-		},
-		Text: r.String(),
-	}
-}
-
-// Result converts Equation 1 to the structured form.
-func (r PeakBandwidthResult) Result() hmcsim.Result {
+func (r peakBandwidthResult) result() hmcsim.Result {
 	return hmcsim.Result{
 		Series: []hmcsim.Series{{
 			Name: "peak-bandwidth", Unit: "GB/s",
-			Points: []hmcsim.Point{{Label: "bi-directional", X: float64(r.Links), Y: r.Peak.GBpsValue()}},
+			Points: []hmcsim.Point{{Label: "bi-directional", X: float64(r.links), Y: r.peak.GBpsValue()}},
 		}},
-		Text: r.String(),
+		Text: fmt.Sprintf(
+			"Equation 1: BWpeak = %d links x %d lanes/link x %.0f Gb/s x 2 duplex = %s",
+			r.links, r.lanes, r.laneGbps, r.peak),
 	}
 }
