@@ -81,16 +81,41 @@ type System struct {
 func NewSystem(cfg Config) *System {
 	eng := sim.NewEngine()
 	if cfg.Trace != nil {
-		cfg.Trace.SetClock(func() int64 { return int64(eng.Now()) })
 		cfg.HMC.Trace = cfg.Trace
 		cfg.Host.Trace = &cfg.Trace.Host
 	}
 	s := &System{Cfg: cfg, Eng: eng, Map: addr.MustMapping(cfg.BlockSize)}
+	s.stopTraceClock() // before the cube's tracers, which attach to it
 	var ctrl *host.Controller
 	s.HMC = hmc.New(eng, cfg.HMC, func(p *packet.Packet) { ctrl.OnResponse(p) })
 	ctrl = host.NewController(eng, cfg.Host, s.HMC)
 	s.Ctrl = ctrl
 	return s
+}
+
+// startTraceClock points a traced system's tracer at the engine's
+// clock for the length of a run. runPorts and PlayStreams, the only
+// callers that advance the engine, start it on entry and stop it on
+// return.
+func (s *System) startTraceClock() {
+	if s.Cfg.Trace == nil {
+		return
+	}
+	eng := s.Eng
+	s.Cfg.Trace.SetClock(func() int64 { return int64(eng.Now()) })
+}
+
+// stopTraceClock gives a traced system's tracer the engine's current
+// reading as a constant. Between runs the tracer so holds a number, not
+// the engine: the collector outlives its systems, and a clock that
+// read the engine kept it, and through its pending events the whole
+// system, alive until the collector was dropped.
+func (s *System) stopTraceClock() {
+	if s.Cfg.Trace == nil {
+		return
+	}
+	now := int64(s.Eng.Now())
+	s.Cfg.Trace.SetClock(func() int64 { return now })
 }
 
 // Pattern is a named address-restriction, wrapping the GUPS mask machinery
@@ -225,6 +250,8 @@ func (s *System) portSeed(i int) uint64 { return s.Cfg.Seed + uint64(i)*977 }
 // window for the Little's-law analysis, stops the ports and aggregates
 // their monitors into a Result.
 func (s *System) runPorts(gens []*traffic.Gen, size, tags int, warmup, window sim.Time) Result {
+	s.startTraceClock()
+	defer s.stopTraceClock()
 	var hmcLatSum sim.Time
 	var hmcLatN uint64
 	ports := make([]*host.TrafficPort, len(gens))

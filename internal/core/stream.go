@@ -27,6 +27,8 @@ func (s *System) StreamPorts(n int) []*host.StreamPort {
 // simulation until every port has drained. Monitors are reset at the
 // start, so each call is an independent measurement.
 func (s *System) PlayStreams(traces [][]host.Request) []*host.StreamPort {
+	s.startTraceClock()
+	defer s.stopTraceClock()
 	ports := s.StreamPorts(len(traces))
 	for i, p := range ports {
 		p.Mon.Reset(s.Eng.Now())

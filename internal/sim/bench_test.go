@@ -14,8 +14,8 @@ import (
 // fixed number of pending events, the kernel's innermost loop. In the
 // pendingN cases every event is scheduled the same delay ahead, so each
 // push appends to one calendar bucket. The mix cases draw each delay
-// from the model's mix (modelDelays), so pushes also land in the middle
-// of a bucket and beyond the horizon.
+// from the model's weighted mix (modelDelays), so pushes also land in
+// the middle of a bucket and, rarely, beyond the horizon.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	for _, pending := range []int{1, 64, 4096} {
 		b.Run(benchName("pending", pending), func(b *testing.B) {
@@ -37,7 +37,8 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 			eng := NewEngine()
 			fn := func() {}
 			r := NewRand(1)
-			delay := func() Time { return modelDelays[r.Intn(len(modelDelays))] }
+			draws := modelDelayDraws()
+			delay := func() Time { return draws[r.Intn(len(draws))] }
 			for i := 0; i < pending; i++ {
 				eng.Schedule(delay(), fn)
 			}

@@ -93,6 +93,7 @@ type Vault struct {
 
 	out         *sim.Queue[*packet.Transaction]
 	pumping     bool
+	parked      bool // pumpFn waits on the outlet for the refused head of out
 	dispatching bool
 	acceptWait  sim.Waiters
 
@@ -168,7 +169,10 @@ func New(eng *sim.Engine, cfg Config, resp RespOutlet) *Vault {
 	}
 	v.tsvFn = v.tsvDone
 	v.ctrlFn = v.ctrlDone
-	v.pumpFn = v.pumpOut
+	v.pumpFn = func() {
+		v.parked = false
+		v.pumpOut()
+	}
 	return v
 }
 
@@ -310,8 +314,16 @@ func (v *Vault) ctrlDone() {
 }
 
 // pumpOut drains completed transactions into the response outlet.
+//
+// A refused head parks the vault until pumpFn fires, and meanwhile
+// pumpOut returns at once. Every call it skips would have failed: only
+// pumpOut pops the head, the outlet refused the head for want of a
+// credit on the pool it routes to, and a release, the only thing that
+// adds credit, fires pumpFn. So the head keeps one waiter however many
+// completions queue behind it, registered where the first of one waiter
+// per completion was, and every wake-up that could succeed still runs.
 func (v *Vault) pumpOut() {
-	if v.pumping {
+	if v.pumping || v.parked {
 		return
 	}
 	v.pumping = true
@@ -322,6 +334,7 @@ func (v *Vault) pumpOut() {
 			return
 		}
 		if !v.resp.TryOut(tr) {
+			v.parked = true // before NotifyOut, which may fire pumpFn at once
 			v.resp.NotifyOut(tr, v.pumpFn)
 			return
 		}

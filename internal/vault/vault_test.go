@@ -214,6 +214,36 @@ func TestResponseBackpressureHolds(t *testing.T) {
 	}
 }
 
+// TestRefusedHeadKeepsOneWaiter queues completions behind a response
+// the outlet refuses: the vault registers one wake-up for the head, not
+// one per completion, registers one again when a wake-up finds the
+// outlet still refusing, and drains every completion once it accepts.
+func TestRefusedHeadKeepsOneWaiter(t *testing.T) {
+	eng := sim.NewEngine()
+	c := &collector{block: true}
+	v := New(eng, DefaultConfig(0), c)
+	const n = 6
+	eng.Schedule(0, func() {
+		for i := 0; i < n; i++ {
+			v.TryAccept(read(uint64(i), i, 0, 16))
+		}
+	})
+	eng.Drain()
+	if v.OutQueued() != n || len(c.waiters) != 1 {
+		t.Fatalf("%d completions queued behind a refused head with %d waiters, want %d and 1", v.OutQueued(), len(c.waiters), n)
+	}
+	wake := c.waiters[0]
+	c.waiters = nil
+	wake()
+	if len(c.waiters) != 1 {
+		t.Fatalf("a wake-up refused again left %d waiters, want 1", len(c.waiters))
+	}
+	c.unblock()
+	if len(c.got) != n || v.OutQueued() != 0 || len(c.waiters) != 0 {
+		t.Fatalf("after the outlet accepts: %d delivered, %d queued, %d waiters; want %d, 0, 0", len(c.got), v.OutQueued(), len(c.waiters), n)
+	}
+}
+
 func TestReadWriteCounters(t *testing.T) {
 	eng, v, _ := newTestVault(t)
 	eng.Schedule(0, func() {
