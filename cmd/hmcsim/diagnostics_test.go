@@ -85,80 +85,3 @@ func TestTimelineRejectedWithServer(t *testing.T) {
 		t.Fatalf("stderr: %s", stderr.String())
 	}
 }
-
-// TestSpansRequiresServer: -spans describes serving-layer stages, so a
-// local run rejects it.
-func TestSpansRequiresServer(t *testing.T) {
-	var out, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-exp", "eq1", "-spans"}, &out, &stderr)
-	if code != 2 {
-		t.Fatalf("exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-spans requires -server") {
-		t.Fatalf("stderr: %s", stderr.String())
-	}
-}
-
-// TestSpansRemoteText: a -server run with -spans prints the per-job
-// breakdowns and per-daemon aggregate after the results.
-func TestSpansRemoteText(t *testing.T) {
-	url := newDaemon(t)
-	var out, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-server", url, "-exp", "eq1,table1", "-spans"}, &out, &stderr)
-	if code != 0 {
-		t.Fatalf("exited %d: %s", code, stderr.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "spans (trace ") {
-		t.Fatalf("stdout missing the spans section:\n%s", s)
-	}
-	for _, want := range []string{"eq1", "table1", "done ", url + ": 2 job(s)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("spans section missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestSpansRemoteJSON: with -format json the spans wrap the results in
-// an envelope carrying the run's trace ID.
-func TestSpansRemoteJSON(t *testing.T) {
-	url := newDaemon(t)
-	var out, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-server", url, "-exp", "eq1", "-format", "json", "-spans"}, &out, &stderr)
-	if code != 0 {
-		t.Fatalf("exited %d: %s", code, stderr.String())
-	}
-	var env struct {
-		Results []json.RawMessage `json:"results"`
-		TraceID string            `json:"traceId"`
-		Spans   []struct {
-			Exp    string `json:"exp"`
-			Daemon string `json:"daemon"`
-			Spans  struct {
-				TraceID string `json:"traceId"`
-				Stages  []struct {
-					Name  string  `json:"name"`
-					DurMs float64 `json:"durMs"`
-				} `json:"stages"`
-				TotalMs float64 `json:"totalMs"`
-			} `json:"spans"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &env); err != nil {
-		t.Fatalf("output is not the spans envelope: %v\n%s", err, out.String())
-	}
-	if len(env.Results) != 1 || len(env.Spans) != 1 || env.TraceID == "" {
-		t.Fatalf("envelope wrong: %d results, %d spans, trace %q", len(env.Results), len(env.Spans), env.TraceID)
-	}
-	sp := env.Spans[0]
-	if sp.Exp != "eq1" || sp.Daemon != url || sp.Spans.TraceID != env.TraceID {
-		t.Fatalf("span report wrong: %+v", sp)
-	}
-	var sum float64
-	for _, st := range sp.Spans.Stages {
-		sum += st.DurMs
-	}
-	if diff := sum - sp.Spans.TotalMs; diff > 0.01 || diff < -0.01 {
-		t.Fatalf("stages sum %.3f, total %.3f", sum, sp.Spans.TotalMs)
-	}
-}

@@ -11,13 +11,15 @@
 // result cache. A comma-separated -server list shards the experiments
 // across the daemons, keeps each daemon's worker pool full, and fails a
 // dead daemon's unfinished work over to its peers; results print in
-// submission order either way.
+// submission order either way. In text mode each job's completion is
+// reported on stderr with its lifecycle stages on the daemon
+// (received, queued, cache-check, running, marshal, done).
 //
 // Usage:
 //
 //	hmcsim [-exp name[,name...]|all] [-quick] [-seed N] [-workers N]
 //	       [-format text|json] [-traffic spec] [-trace] [-timeline file]
-//	       [-spans] [-list] [-server URL[,URL...]] [-cpuprofile file]
+//	       [-list] [-server URL[,URL...]] [-cpuprofile file]
 //	       [-memprofile file]
 //
 // -trace (local runs only) compiles per-component tracers into every
@@ -30,12 +32,6 @@
 // flits, NoC hops, host tag traffic — over simulated time as Chrome
 // trace_event JSON, loadable at https://ui.perfetto.dev. Without
 // -trace, no summary prints.
-//
-// -spans (-server runs only) fetches each completed job's lifecycle
-// stage breakdown (received, queued, cache-check, running, marshal,
-// done) from its daemon and prints the per-job spans plus a per-daemon
-// aggregate after the results; every job in the run shares one trace
-// ID, also usable to correlate the daemons' job log records.
 package main
 
 import (
@@ -73,7 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	trafficSpec := fs.String("traffic", "", "synthetic traffic spec for the \"traffic\" experiment: a pattern name or a JSON TrafficSpec")
 	trace := fs.Bool("trace", false, "collect and dump per-component tracer summaries (local runs only)")
 	timeline := fs.String("timeline", "", "write a Chrome trace_event timeline of per-component activity to this file (local runs only)")
-	spans := fs.Bool("spans", false, "print per-job lifecycle spans and per-daemon aggregates (-server runs only)")
 	list := fs.Bool("list", false, "list registered experiments and exit")
 	server := fs.String("server", "", "comma-separated hmcsimd base URL(s); run remotely instead of simulating locally")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -170,14 +165,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *timeline != "" {
 			// Same reasoning as -trace: the sampler rides inside the local
 			// simulation contexts and has no remote equivalent.
-			fmt.Fprintln(stderr, "hmcsim: -timeline is local-only; use -spans for per-job breakdowns of remote runs")
+			fmt.Fprintln(stderr, "hmcsim: -timeline is local-only; remote runs print each job's stages on stderr in text mode")
 			return 2
 		}
-		return runRemote(ctx, fleet, names, o, *format, *spans, stdout, stderr)
-	}
-	if *spans {
-		fmt.Fprintln(stderr, "hmcsim: -spans requires -server; local runs have no serving stages (use -trace or -timeline)")
-		return 2
+		return runRemote(ctx, fleet, names, o, *format, stdout, stderr)
 	}
 	if names == nil {
 		names = exp.Names()
@@ -309,10 +300,8 @@ type tracedResults struct {
 // runRemote submits one spec per experiment to the daemon fleet in a
 // batch, which shards them across the daemons and keeps every remote
 // worker busy; results print in submission order. A nil names slice
-// means every experiment the fleet registers. With spans set, every
-// job's lifecycle breakdown is fetched from its daemon as it completes
-// and printed — per job and aggregated per daemon — after the results.
-func runRemote(ctx context.Context, fleet *service.Fleet, names []string, o exp.Options, format string, spans bool, stdout, stderr io.Writer) int {
+// means every experiment the fleet registers.
+func runRemote(ctx context.Context, fleet *service.Fleet, names []string, o exp.Options, format string, stdout, stderr io.Writer) int {
 	// Resolve every name against the fleet's registry before submitting
 	// anything, mirroring runLocal's fail-fast contract: a typo late in
 	// the list must not discard completed simulations.
@@ -341,22 +330,17 @@ func runRemote(ctx context.Context, fleet *service.Fleet, names []string, o exp.
 	for i, name := range names {
 		specs[i] = hmcsim.Spec{Exp: name, Options: o}
 	}
-	var spanReports []spanReport
-	if spans {
-		// One trace ID for the whole run stamps every job it creates, so
-		// the daemons' span views and job log records correlate back to
-		// this invocation. OnSpans calls are serialized by the fleet.
-		fleet.TraceID = service.NewTraceID()
-		fleet.OnSpans = func(daemon string, spec hmcsim.Spec, sv service.SpanView) {
-			spanReports = append(spanReports, spanReport{Exp: spec.Exp, Daemon: daemon, Spans: sv})
-		}
-	}
 	if format == "text" {
 		// Batched runs complete out of order, so stdout keeps the
-		// ordered rendering below; a progress line per completion keeps
-		// a long fleet run from sitting silent for minutes.
+		// ordered rendering below; a progress line per completion, with
+		// where the job's time went on its daemon, keeps a long fleet
+		// run from sitting silent for minutes.
 		fleet.OnDone = func(spec hmcsim.Spec, v service.JobView) {
-			fmt.Fprintf(stderr, "hmcsim: %s %s\n", spec.Exp, jobOutcome(v))
+			stages := make([]string, len(v.Stages))
+			for i, st := range v.Stages {
+				stages[i] = fmt.Sprintf("%s %.1fms", st.Name, st.DurMs)
+			}
+			fmt.Fprintf(stderr, "hmcsim: %s %s: %s\n", spec.Exp, jobOutcome(v), strings.Join(stages, ", "))
 		}
 		// Between completions, stream each running job's live headway
 		// (SSE from the daemon), rate-limited so a chatty fleet does not
@@ -405,76 +389,9 @@ func runRemote(ctx context.Context, fleet *service.Fleet, names []string, o exp.
 		}
 	}
 	if format == "json" {
-		if spans {
-			return emitJSON(stdout, stderr, spannedResults{Results: results, TraceID: fleet.TraceID, Spans: spanReports})
-		}
 		return emitJSON(stdout, stderr, results)
 	}
-	if spans {
-		printSpans(stdout, fleet.TraceID, spanReports)
-	}
 	return 0
-}
-
-// spanReport pairs one remote job's span view with the experiment and
-// daemon it ran on, for the -spans rendering.
-type spanReport struct {
-	Exp    string           `json:"exp"`
-	Daemon string           `json:"daemon"`
-	Spans  service.SpanView `json:"spans"`
-}
-
-// spannedResults is the -format json envelope when -spans is on.
-type spannedResults struct {
-	Results []json.RawMessage `json:"results"`
-	TraceID string            `json:"traceId"`
-	Spans   []spanReport      `json:"spans"`
-}
-
-// printSpans renders the per-job breakdowns in completion order, then
-// aggregates them per daemon so a sharded run shows at a glance where
-// time went and which daemon served which share.
-func printSpans(stdout io.Writer, traceID string, reports []spanReport) {
-	fmt.Fprintf(stdout, "spans (trace %s):\n", traceID)
-	type agg struct {
-		daemon  string
-		jobs    int
-		cached  int
-		totalMs float64
-	}
-	var order []string
-	byDaemon := map[string]*agg{}
-	for _, r := range reports {
-		var b strings.Builder
-		for i, st := range r.Spans.Stages {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s %.1fms", st.Name, st.DurMs)
-		}
-		cached := ""
-		if r.Spans.Cached {
-			cached = " (cached)"
-		}
-		fmt.Fprintf(stdout, "  %-14s %s @ %s%s: total %.1fms: %s\n",
-			r.Exp, r.Spans.ID, r.Daemon, cached, r.Spans.TotalMs, b.String())
-		a := byDaemon[r.Daemon]
-		if a == nil {
-			a = &agg{daemon: r.Daemon}
-			byDaemon[r.Daemon] = a
-			order = append(order, r.Daemon)
-		}
-		a.jobs++
-		if r.Spans.Cached {
-			a.cached++
-		}
-		a.totalMs += r.Spans.TotalMs
-	}
-	for _, d := range order {
-		a := byDaemon[d]
-		fmt.Fprintf(stdout, "  %s: %d job(s), %d cached, %.1fms total latency\n",
-			a.daemon, a.jobs, a.cached, a.totalMs)
-	}
 }
 
 // jobOutcome renders how a remote job finished and how long it took,

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -84,10 +85,13 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRemoteTextOutput: a -server run in text mode prints the rendered
+// results on stdout and, per job on stderr, how it finished and its
+// stages on the daemon.
 func TestRemoteTextOutput(t *testing.T) {
 	url := newDaemon(t)
 	var out, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-server", url, "-exp", "eq1"}, &out, &stderr)
+	code := run(context.Background(), []string{"-server", url, "-exp", "eq1,table1"}, &out, &stderr)
 	if code != 0 {
 		t.Fatalf("exited %d: %s", code, stderr.String())
 	}
@@ -96,6 +100,21 @@ func TestRemoteTextOutput(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "simulated in") {
 		t.Fatalf("remote text output missing timing line:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "received") {
+		t.Fatalf("stages leaked into stdout:\n%s", out.String())
+	}
+	for _, name := range []string{"eq1", "table1"} {
+		line := regexp.MustCompile(`(?m)^hmcsim: ` + name + ` simulated in \S+: ` +
+			`received \d+\.\dms, queued \d+\.\dms, cache-check \d+\.\dms, running \d+\.\dms, marshal \d+\.\dms, done \d+\.\dms$`)
+		if !line.MatchString(stderr.String()) {
+			t.Fatalf("stderr has no stage line for %s:\n%s", name, stderr.String())
+		}
+	}
+
+	stderr.Reset()
+	if code := run(context.Background(), []string{"-server", url, "-exp", "eq1", "-spans"}, &out, &stderr); code != 2 {
+		t.Fatalf("-spans exited %d, want 2 as an unknown flag: %s", code, stderr.String())
 	}
 }
 

@@ -10,24 +10,26 @@
 //	        [-maxjobs N] [-pprof] [-log-format text|json]
 //
 // The daemon logs structured job-lifecycle records (admission and
-// completion, each carrying the submission's X-Hmcsim-Trace-Id and the
-// completion its queue, run and total milliseconds) to stderr;
-// -log-format json switches them to one-JSON-object-per-line for log
-// shippers.
+// completion, each carrying the job's spec key and the completion its
+// queue, run and total milliseconds) to stderr; -log-format json
+// switches them to one-JSON-object-per-line for log shippers.
+//
+// On SIGINT or SIGTERM the daemon cancels every queued and running job
+// with the shutting_down error code, which a fleet client fails over to
+// its other daemons, and then closes its listener.
 //
 // Endpoints:
 //
 //	POST   /v1/jobs        submit {"exp": "fig6", "options": {"quick": true}}
 //	POST   /v1/batch       submit a JSON array of specs; admission is
 //	                       all-or-nothing against the queue bound
-//	GET    /v1/jobs/{id}   status; includes result and text when done
+//	GET    /v1/jobs/{id}   status and lifecycle stages (received, queued,
+//	                       cache-check, running, marshal, done); includes
+//	                       result and text when done
 //	GET    /v1/jobs/{id}/progress
 //	                       live progress as Server-Sent Events: sweep
 //	                       points done/total and simulation headway,
 //	                       ending with the terminal event
-//	GET    /v1/jobs/{id}/spans
-//	                       the job's lifecycle stage breakdown (received,
-//	                       queued, cache-check, running, marshal, done)
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
 //	GET    /v1/experiments registry listing
 //	GET    /v1/stats       queue, worker, job, cache, batch, inflight,
@@ -119,12 +121,15 @@ func main() {
 	select {
 	case <-ctx.Done():
 		logger.Info("hmcsimd shutting down")
+		// Cancel the jobs first: each one's progress stream then ends
+		// with its terminal event, so Shutdown need not wait out
+		// streams whose simulation would keep running.
+		svc.Close()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			logger.Error("hmcsimd shutdown", "error", err.Error())
 		}
-		svc.Close()
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "hmcsimd:", err)

@@ -1,7 +1,7 @@
 // Client example: drive one or more running hmcsimd daemons, first with
 // nothing but net/http — showing the wire protocol end to end — and
 // then through the fleet scheduler, farming a seed-stability sweep out
-// across every daemon with hmcsim.RemoteRunner.
+// across every daemon.
 //
 // Part 1 lists the registry, submits a job, polls until it completes,
 // and prints the result plus the daemon's cache statistics. Submit the
@@ -10,10 +10,10 @@
 //
 // Part 2 builds a service.Fleet over the -server list (comma-separated
 // URLs shard across daemons) and runs the same experiment under four
-// different seeds concurrently: hmcsim.RemoteRunner adapts the remote
-// experiment to the hmcsim.Runner interface, so hmcsim.Sweep fans the
-// points out exactly as it would fan out local systems — every daemon's
-// worker pool fills, and identical specs are deduped and cache-served.
+// different seeds in one Fleet.Run: the four specs are batched to the
+// daemons, deduped by content key, and failed over if a daemon dies.
+// Each returned view decodes into the hmcsim.Result a local run would
+// return.
 //
 // Start one or more daemons first:
 //
@@ -103,31 +103,28 @@ func main() {
 
 	// ---- Part 2: farm a seed sweep out across the whole fleet.
 	//
-	// RemoteRunner makes the daemon-served experiment a drop-in
-	// hmcsim.Runner, so the fan-out below is byte-for-byte the shape of
-	// a local sweep — except each point is batched to a daemon, deduped
-	// by content key, and failed over if a daemon dies.
+	// One Fleet.Run takes every point: the specs are batched to the
+	// daemons, deduped by content key, and failed over if a daemon dies.
 	fleet := service.NewFleet(servers)
 	fleet.Logf = func(format string, a ...any) { fmt.Fprintf(os.Stderr, "fleet: "+format+"\n", a...) }
-	remote := hmcsim.RemoteRunner{Exp: exp, On: fleet}
 
 	seeds := []uint64{1, 2, 3, 4}
+	specs := make([]hmcsim.Spec, len(seeds))
+	for i, seed := range seeds {
+		specs[i] = hmcsim.Spec{Exp: exp, Options: hmcsim.Options{Quick: quick, Seed: seed}}
+	}
 	fmt.Printf("sweeping %s over seeds %v across %d daemon(s)...\n", exp, seeds, len(fleet.Clients))
 	start := time.Now()
-	ctx := context.Background()
-	type point struct {
-		res hmcsim.Result
-		err error
+	views, err := fleet.Run(context.Background(), specs)
+	if err != nil {
+		fail(err)
 	}
-	points := hmcsim.Sweep(ctx, len(seeds), len(seeds), func(i int) point {
-		res, err := remote.Run(ctx, hmcsim.Options{Quick: quick, Seed: seeds[i]})
-		return point{res, err}
-	})
-	for i, p := range points {
-		if p.err != nil {
-			fail(fmt.Errorf("seed %d: %w", seeds[i], p.err))
+	for i, v := range views {
+		res, err := v.Decode()
+		if err != nil {
+			fail(fmt.Errorf("seed %d: %w", seeds[i], err))
 		}
-		fmt.Printf("  seed %d: %s, %d series\n", seeds[i], p.res.Name, len(p.res.Series))
+		fmt.Printf("  seed %d: %s, %d series\n", seeds[i], res.Name, len(res.Series))
 	}
 	fmt.Printf("fleet sweep of %d points took %v\n\n", len(seeds), time.Since(start).Round(time.Millisecond))
 

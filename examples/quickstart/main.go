@@ -1,7 +1,7 @@
 // Quickstart: build the AC-510 + HMC 1.1 system, blast it with random
-// reads from all nine GUPS ports via the public Workload API, and print
-// what the monitoring logic sees. This is the smallest end-to-end use
-// of the library.
+// reads from all nine GUPS ports through the public hmcsim.GUPS
+// workload, and print what the monitoring logic sees. This is the
+// smallest end-to-end use of the library.
 package main
 
 import (

@@ -5,21 +5,21 @@
 //
 // The package is organized around three seams:
 //
-//   - Workload: something that generates traffic against a System's
-//     port fabric and reports what the monitors saw. GUPS, Streams and
-//     TraceReplay adapt the paper's two firmware personalities;
-//     TrafficWorkload drives a composable synthetic TrafficSpec
-//     (pattern library, read/write mixer, phase scripts, closed- or
-//     open-loop injection) from internal/traffic.
 //   - Backend: an attachable memory device under test. HMCDevice and
 //     DDRChannel implement it, so device comparisons are plain sweeps.
 //   - Runner: a named, self-describing experiment returning a
 //     structured, JSON-marshalable Result. The paper's tables and
 //     figures register themselves in internal/exp's registry.
+//   - Spec: a serializable, content-addressable experiment request. Its
+//     canonical JSON hash is how the hmcsimd service (cmd/hmcsimd,
+//     internal/service) caches results.
 //
-// Spec makes experiment requests serializable and content-addressable:
-// its canonical JSON hash is how the hmcsimd service (cmd/hmcsimd,
-// internal/service) caches results.
+// The workloads are plain structs whose Run drives a System's port
+// fabric and reports what the monitors saw: GUPS, Streams and
+// TraceReplay adapt the paper's two firmware personalities;
+// TrafficWorkload drives a composable synthetic TrafficSpec (pattern
+// library, read/write mixer, phase scripts, closed- or open-loop
+// injection) from internal/traffic.
 //
 // Sweep fans independent simulations out across CPUs; every engine
 // stays single-threaded, so parallel results are bit-identical to

@@ -12,11 +12,11 @@
 // stops them.
 //
 // Deprecated entry point: core used to be the repository's public face.
-// New code should use the top-level hmcsim package — its Workload
-// adapters (hmcsim.GUPS, hmcsim.Streams, hmcsim.TraceReplay) wrap the
-// drivers here, hmcsim.System embeds *core.System, and experiments
-// register as hmcsim.Runners in internal/exp. RunGUPS and PlayStreams
-// remain as the engine layer those adapters call into.
+// New code should use the top-level hmcsim package — its workloads
+// (hmcsim.GUPS, hmcsim.Streams, hmcsim.TraceReplay) wrap the drivers
+// here, hmcsim.System embeds *core.System, and experiments register as
+// hmcsim.Runners in internal/exp. RunGUPS and PlayStreams remain as the
+// engine layer those workloads call into.
 //
 // Typical use (via the public API):
 //

@@ -24,10 +24,6 @@ type Client struct {
 	// 30-second per-request timeout so an unresponsive daemon surfaces
 	// as an error (set HTTP to http.DefaultClient for no deadline).
 	HTTP *http.Client
-	// TraceID, when set, is sent as the X-Hmcsim-Trace-Id header on
-	// every submission, correlating the jobs this client creates in
-	// span views and the daemons' job log records.
-	TraceID string
 }
 
 // defaultHTTPClient bounds every request so a blackholed daemon — one
@@ -109,9 +105,6 @@ func (c *Client) doCapped(ctx context.Context, method, path string, body, out an
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if c.TraceID != "" && method == http.MethodPost {
-		req.Header.Set(TraceHeader, c.TraceID)
-	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
@@ -160,7 +153,7 @@ func (c *Client) SubmitBatch(ctx context.Context, specs []hmcsim.Spec) ([]JobVie
 	return out, err
 }
 
-// Job fetches one job's current view.
+// Job fetches one job's current view, its stages included.
 func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
 	var v JobView
 	err := c.doCapped(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &v, maxViewBytes)
@@ -269,11 +262,10 @@ func (c *Client) CancelOrphan(id string) error {
 	return err
 }
 
-// Spans fetches a job's lifecycle stage breakdown.
+// Spans is Job, kept only for bench/hmcbench, which still calls it; it
+// goes with ROADMAP item 9.
 func (c *Client) Spans(ctx context.Context, id string) (SpanView, error) {
-	var v SpanView
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/spans", nil, &v)
-	return v, err
+	return c.Job(ctx, id)
 }
 
 // Experiments lists the daemon's registry.

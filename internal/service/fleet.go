@@ -23,9 +23,6 @@ import (
 // retries. Results reassemble in submission order, so a fleet run of
 // `-exp all` is byte-identical to a local run, since daemon workers
 // execute single-threaded deterministic engines.
-//
-// Fleet implements hmcsim.SpecRunner, so a hmcsim.RemoteRunner can farm
-// individual sweep points out through it.
 type Fleet struct {
 	// Clients are the daemons, one per base URL.
 	Clients []*Client
@@ -35,9 +32,9 @@ type Fleet struct {
 	// daemon failure before the whole run fails; <= 0 means 2.
 	Retries int
 	// Logf, when set, receives human-readable progress lines: daemon
-	// failover, orphan-cancellation and span-fetch notices. nil
-	// discards them. Calls are serialized, so the callback may write to
-	// a shared writer without its own locking.
+	// failover and orphan-cancellation notices. nil discards them.
+	// Calls are serialized, so the callback may write to a shared
+	// writer without its own locking.
 	Logf func(format string, args ...any)
 	// OnDone, when set, is called as each unique spec reaches a
 	// successful terminal view — completion order, not submission
@@ -48,15 +45,11 @@ type Fleet struct {
 	// events (sweep points done, simulation headway) from the stream the
 	// fleet waits on. Calls are serialized with Logf and OnDone.
 	OnProgress func(spec hmcsim.Spec, p JobProgress)
-	// TraceID, when set, is propagated on every submission the fleet
-	// makes (via the X-Hmcsim-Trace-Id header) so daemons stamp it on
-	// the run's jobs. Empty means each Run generates its own ID, so one
-	// run's jobs are always correlatable across daemons.
-	TraceID string
-	// OnSpans, when set, receives each successfully completed job's
-	// lifecycle stage breakdown, fetched from the daemon that ran it.
-	// daemon is that daemon's base URL. Calls are serialized with Logf,
-	// OnDone and OnProgress.
+	// OnSpans, when set, receives the same terminal view as OnDone,
+	// stages included, with the base URL of the daemon that ran the
+	// job, right after OnDone and serialized with it. It is kept only
+	// for bench/hmcbench, which still sets it; it goes with ROADMAP
+	// item 9.
 	OnSpans func(daemon string, spec hmcsim.Spec, sv SpanView)
 
 	// logMu serializes the callbacks from concurrent dispatchers and
@@ -117,16 +110,6 @@ func (f *Fleet) Experiments(ctx context.Context) ([]ExperimentView, error) {
 	return nil, firstErr
 }
 
-// RunSpec runs a single spec through the fleet and decodes its result —
-// the hmcsim.SpecRunner contract behind hmcsim.RemoteRunner.
-func (f *Fleet) RunSpec(ctx context.Context, spec hmcsim.Spec) (hmcsim.Result, error) {
-	views, err := f.Run(ctx, []hmcsim.Spec{spec})
-	if err != nil {
-		return hmcsim.Result{}, err
-	}
-	return views[0].Decode()
-}
-
 // fleetItem is one unit of fleet work: an index into the unique-spec
 // list plus how many daemon failures it has survived.
 type fleetItem struct {
@@ -143,7 +126,6 @@ type fleetRun struct {
 	pending   chan fleetItem // items awaiting a daemon; cap len(specs)
 	remaining atomic.Int64   // unique specs not yet terminal
 	live      atomic.Int64   // daemons still serving this run
-	traceID   string         // stamped on every submission of this run
 
 	done  chan struct{} // closed when remaining reaches zero
 	fatal chan struct{} // closed on the first unrecoverable error
@@ -154,11 +136,13 @@ type fleetRun struct {
 
 // Run executes every spec on the fleet and returns one terminal view
 // per spec, in submission order. Identical specs (by content key) are
-// submitted once and share a view. Run fails as a whole when a spec
-// fails or is cancelled server-side, when a spec exhausts its failover
-// retries, or when every daemon becomes unreachable; on ctx
-// cancellation it cancels its in-flight remote jobs (best-effort, short
-// detached timeouts) before returning ctx's error.
+// submitted once and share a view. A job canceled because its daemon
+// is shutting down fails over like an unreachable daemon. Run fails as
+// a whole when a spec fails or is cancelled server-side, when a spec
+// exhausts its failover retries, or when every daemon becomes
+// unreachable; on ctx cancellation it cancels its in-flight remote
+// jobs (best-effort, short detached timeouts) before returning ctx's
+// error.
 func (f *Fleet) Run(ctx context.Context, specs []hmcsim.Spec) ([]JobView, error) {
 	if len(f.Clients) == 0 {
 		return nil, errors.New("fleet has no daemons")
@@ -193,10 +177,6 @@ func (f *Fleet) Run(ctx context.Context, specs []hmcsim.Spec) ([]JobView, error)
 		pending: make(chan fleetItem, len(uniq)),
 		done:    make(chan struct{}),
 		fatal:   make(chan struct{}),
-		traceID: f.TraceID,
-	}
-	if r.traceID == "" {
-		r.traceID = NewTraceID()
 	}
 	r.remaining.Store(int64(len(uniq)))
 	r.live.Store(int64(len(f.Clients)))
@@ -244,13 +224,16 @@ func (f *Fleet) Run(ctx context.Context, specs []hmcsim.Spec) ([]JobView, error)
 	}
 }
 
-// finish records one unique spec's terminal view.
-func (r *fleetRun) finish(it fleetItem, v JobView) {
+// finish records one unique spec's terminal view, which daemon c ran.
+func (r *fleetRun) finish(c *Client, it fleetItem, v JobView) {
+	r.f.logMu.Lock()
 	if r.f.OnDone != nil {
-		r.f.logMu.Lock()
 		r.f.OnDone(r.specs[it.idx], v)
-		r.f.logMu.Unlock()
 	}
+	if r.f.OnSpans != nil {
+		r.f.OnSpans(c.Base, r.specs[it.idx], v)
+	}
+	r.f.logMu.Unlock()
 	r.results[it.idx] = v
 	if r.remaining.Add(-1) == 0 {
 		close(r.done)
@@ -303,10 +286,6 @@ type watchResult struct {
 // of the run: its unfinished items requeue for the surviving peers.
 func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 	maxIn := r.f.maxInflight()
-	// Submissions go through a shallow copy carrying the run's trace ID,
-	// so concurrent runs over shared clients never race on the field.
-	submitC := *c
-	submitC.TraceID = r.traceID
 	resc := make(chan watchResult, maxIn) // buffered: watchers never block
 	inflight := 0
 	// batchCap shrinks after a queue-full rejection so a daemon with a
@@ -371,7 +350,7 @@ func (r *fleetRun) daemon(ctx context.Context, c *Client) {
 			for i, it := range batch {
 				specs[i] = r.specs[it.idx]
 			}
-			views, err := submitC.SubmitBatch(ctx, specs)
+			views, err := c.SubmitBatch(ctx, specs)
 			if err != nil {
 				if r.submitFailed(ctx, c, batch, err, die) {
 					batchCap = max(1, len(batch)/2)
@@ -502,44 +481,27 @@ func (r *fleetRun) settle(ctx context.Context, c *Client, pr watchResult, die fu
 		}
 		return
 	}
-	switch pr.view.State {
-	case StateDone:
-		r.reportSpans(c, pr)
-		r.finish(pr.it, pr.view)
-	case StateFailed:
-		if pr.view.ErrorCode == codeQueueFull {
-			// Not a property of the spec: the job coalesced onto a twin
-			// that was canceled, and the server's adopt fallback lost
-			// its non-blocking re-enqueue to a full queue. Saturation is
-			// retryable (with the usual attempt bound), exactly like a
-			// queue-full rejection at submit time.
-			r.requeue(pr.it, c, errors.New(pr.view.Error))
-			return
-		}
-		r.fail(fmt.Errorf("experiment %q failed on %s: %s", r.specs[pr.it.idx].Exp, c.Base, pr.view.Error))
+	switch v := pr.view; {
+	case v.State == StateDone:
+		r.finish(c, pr.it, v)
+	case v.ErrorCode == codeQueueFull:
+		// Not a property of the spec: the job coalesced onto a twin
+		// that was canceled, and the server's adopt fallback lost its
+		// non-blocking re-enqueue to a full queue. Saturation is
+		// retryable (with the usual attempt bound), exactly like a
+		// queue-full rejection at submit time.
+		r.requeue(pr.it, c, errors.New(v.Error))
+	case v.ErrorCode == codeShuttingDown:
+		// The daemon canceled the job on its way down: the daemon is
+		// gone for this run, and its work fails over to the peers.
+		err := fmt.Errorf("job %s: %s", v.ID, v.Error)
+		r.requeue(pr.it, c, err)
+		die(err)
+	case v.State == StateFailed:
+		r.fail(fmt.Errorf("experiment %q failed on %s: %s", r.specs[pr.it.idx].Exp, c.Base, v.Error))
 	default: // canceled server-side
 		r.fail(fmt.Errorf("experiment %q canceled on %s", r.specs[pr.it.idx].Exp, c.Base))
 	}
-}
-
-// reportSpans fetches a completed job's stage breakdown for the OnSpans
-// callback. Detached short-timeout context: the run's context may be
-// winding down by the time the last job settles, and spans are
-// diagnostics — a failed fetch logs rather than failing anything over.
-func (r *fleetRun) reportSpans(c *Client, pr watchResult) {
-	if r.f.OnSpans == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	sv, err := c.Spans(ctx, pr.view.ID)
-	if err != nil {
-		r.f.logf("could not fetch spans for job %s on %s: %v", pr.view.ID, c.Base, err)
-		return
-	}
-	r.f.logMu.Lock()
-	r.f.OnSpans(c.Base, r.specs[pr.it.idx], sv)
-	r.f.logMu.Unlock()
 }
 
 // watch waits one job to a terminal state on its progress stream,

@@ -32,7 +32,8 @@ func seedSpecs(exp string, n int) []hmcsim.Spec {
 
 // TestFleetShardsAcrossDaemons: with three daemons and more work than
 // any one daemon's in-flight bound, every daemon receives a share, and
-// the views come back terminal in submission order.
+// the views come back terminal in submission order, each decoding into
+// its runner's result and rendered text.
 func TestFleetShardsAcrossDaemons(t *testing.T) {
 	var servers []*Server
 	var clients []*Client
@@ -70,14 +71,14 @@ func TestFleetShardsAcrossDaemons(t *testing.T) {
 		t.Fatalf("got %d views for %d specs", len(views), len(specs))
 	}
 	for i, v := range views {
-		if v.State != StateDone {
-			t.Fatalf("view %d state %s, want done", i, v.State)
-		}
-		// Submission order: the echoed seed series must match spec i.
-		var res hmcsim.Result
-		if err := json.Unmarshal(v.Result, &res); err != nil {
+		res, err := v.Decode()
+		if err != nil {
 			t.Fatalf("view %d: %v", i, err)
 		}
+		if res.Name != "e" || res.Text != "text for e" {
+			t.Fatalf("view %d decodes to name %q, text %q", i, res.Name, res.Text)
+		}
+		// Submission order: the echoed seed series must match spec i.
 		if got := res.Series[0].Points[0].Y; got != float64(i+1) {
 			t.Fatalf("view %d echoes seed %.0f, want %d (results out of submission order)", i, got, i+1)
 		}
@@ -238,6 +239,62 @@ func TestFleetFailsOverClosedDaemon(t *testing.T) {
 	defer cancel2()
 	if _, err := solo.Run(ctx2, seedSpecs("e", 2)); err == nil || ctx2.Err() != nil {
 		t.Fatalf("solo run against a closed daemon: err = %v (timeout: %v)", err, ctx2.Err())
+	}
+}
+
+// TestFleetFailsOverDaemonClosedMidRun: a daemon whose Server closes
+// while it runs and queues the fleet's jobs cancels them with the
+// shutting_down code; the fleet fails them over to its peer instead of
+// failing the run as if a job had been canceled on its own.
+func TestFleetFailsOverDaemonClosedMidRun(t *testing.T) {
+	slow := newBlockingFake("e") // never released: only the shutdown ends its job
+	closing, closingClient := newFleetDaemon(t, Config{Workers: 1}, slow)
+	fast := newBlockingFake("e")
+	_, fastClient := newFleetDaemon(t, Config{Workers: 1}, fast)
+	go func() {
+		// The fast daemon holds at most MaxInflight specs until the slow
+		// one runs a job, so the slow one gets the rest.
+		<-slow.started
+		close(fast.release)
+		// Any moment after the start must fail over; 20 ms in, the
+		// fleet is already watching both of the slow daemon's jobs.
+		time.Sleep(20 * time.Millisecond)
+		closing.Close()
+	}()
+
+	var logMu sync.Mutex
+	var logs []string
+	f := &Fleet{
+		Clients:     []*Client{closingClient, fastClient},
+		MaxInflight: 2,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	views, err := f.Run(ctx, seedSpecs("e", 4))
+	if err != nil {
+		t.Fatalf("fleet did not fail over the daemon that closed mid-run: %v", err)
+	}
+	for i, v := range views {
+		if v.State != StateDone {
+			t.Fatalf("view %d state %s", i, v.State)
+		}
+	}
+	j, ok := closing.Job("j000001")
+	if !ok {
+		t.Fatal("the closed daemon lost its first job")
+	}
+	if v := j.View(); v.State != StateCanceled || v.ErrorCode != codeShuttingDown {
+		t.Fatalf("job running at shutdown ended %s with code %q, want canceled with %q", v.State, v.ErrorCode, codeShuttingDown)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "failed over") {
+		t.Fatalf("failover was not reported through Logf:\n%s", joined)
 	}
 }
 
@@ -419,30 +476,6 @@ func TestSettleRequeuesQueueFullFailure(t *testing.T) {
 	default:
 		t.Fatal("real experiment failure did not abort the run")
 	}
-}
-
-// TestFleetRunSpec: the hmcsim.SpecRunner path decodes a structured
-// result, and a RemoteRunner built over the fleet behaves like a local
-// runner.
-func TestFleetRunSpec(t *testing.T) {
-	_, c := newFleetDaemon(t, Config{Workers: 1}, newFake("e"))
-	f := &Fleet{Clients: []*Client{c}}
-
-	rr := hmcsim.RemoteRunner{Exp: "e", On: f}
-	res, err := rr.Run(context.Background(), hmcsim.Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Name != "e" {
-		t.Fatalf("result name %q", res.Name)
-	}
-	if got := res.Series[0].Points[0].Y; got != 42 {
-		t.Fatalf("echoed seed %.0f, want 42", got)
-	}
-	if res.Text == "" {
-		t.Fatal("RunSpec lost the rendered text")
-	}
-	var _ hmcsim.Runner = rr // RemoteRunner satisfies the public interface
 }
 
 // TestFleetCancellationCancelsRemoteJobs: cancelling the caller's

@@ -25,7 +25,8 @@ type errorBody struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// Machine-readable error codes carried in errorBody.Code.
+// Machine-readable error codes carried in errorBody.Code and
+// JobView.ErrorCode.
 const (
 	codeQueueFull    = "queue_full"
 	codeShuttingDown = "shutting_down"
@@ -48,29 +49,23 @@ func errorCode(err error) string {
 //	POST   /v1/batch       submit a JSON array of specs atomically;
 //	                       200 when every job is already terminal
 //	                       (cache hits), 202 otherwise
-//	GET    /v1/jobs/{id}   job status and, when done, its result
+//	GET    /v1/jobs/{id}   job status, its lifecycle stages (received,
+//	                       queued, cache-check, running, marshal, done)
+//	                       and, when done, its result
 //	GET    /v1/jobs/{id}/progress
 //	                       live progress as Server-Sent Events, ending
 //	                       with the terminal event
-//	GET    /v1/jobs/{id}/spans
-//	                       the job's lifecycle stage breakdown (received,
-//	                       queued, cache-check, running, marshal, done)
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
 //	GET    /v1/experiments the experiment registry
 //	GET    /v1/stats       queue, worker, job and cache statistics, plus
 //	                       queue-wait and latency histograms
 //	GET    /v1/healthz     liveness probe
-//
-// Submissions may carry an X-Hmcsim-Trace-Id header; the ID is stamped
-// on every job the request creates and echoed in span views and the
-// daemon's job log records, correlating one logical run across daemons.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
-	mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleSpans)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -119,7 +114,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 // already terminal (cache hits), 202 otherwise. It answers a rejected
 // submission itself and then returns no views.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, specs ...hmcsim.Spec) ([]JobView, int) {
-	jobs, err := s.Submit(r.Header.Get(TraceHeader), specs...)
+	jobs, err := s.Submit(specs...)
 	switch {
 	case errors.Is(err, errQueueFull), errors.Is(err, errClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -178,15 +173,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.View())
-}
-
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Spans())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -50,24 +51,22 @@ type Job struct {
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 
-	mu        sync.Mutex
-	state     State
-	cached    bool
-	err       string
-	errCode   string
-	result    json.RawMessage
-	text      string
-	submitted time.Time
-	finished  time.Time
+	mu       sync.Mutex
+	state    State
+	cached   bool
+	err      string
+	errCode  string
+	result   json.RawMessage
+	text     string
+	finished time.Time
 
-	// traceID correlates the job with the submission that created it;
-	// marks are the span timestamps; worker is the pool index that ran
-	// the job (-1 when none did); srv is the server that admitted it,
-	// whose terminal hook runs at the terminal transition.
-	traceID string
-	worker  int
-	marks   spanMarks
-	srv     *Server
+	// marks are the stage timestamps; worker is the pool index that ran
+	// the job (-1 when none did), for the job log; srv is the server
+	// that admitted it, whose terminal hook runs at the terminal
+	// transition.
+	worker int
+	marks  stageMarks
+	srv    *Server
 
 	// prog is the latest live-progress snapshot from the running sweep;
 	// watchers are progress streams (SSE handlers), each a capacity-1
@@ -106,7 +105,7 @@ func (j *Job) progressLocked() JobProgress {
 	if end.IsZero() {
 		end = time.Now()
 	}
-	p.ElapsedMs = float64(end.Sub(j.submitted).Microseconds()) / 1000
+	p.ElapsedMs = msBetween(j.marks.received, end)
 	return p
 }
 
@@ -175,14 +174,48 @@ type JobView struct {
 	// by this job.
 	Cached bool   `json:"cached"`
 	Error  string `json:"error,omitempty"`
-	// ErrorCode is the machine-readable cause for failures clients must
-	// classify (currently only queue_full, from the coalescing fallback
-	// losing its re-enqueue); prose in Error is for humans.
+	// ErrorCode is the machine-readable cause of an outcome clients must
+	// classify; prose in Error is for humans. queue_full marks a failed
+	// job whose coalescing fallback lost its re-enqueue to a full queue,
+	// and shutting_down a job canceled because its daemon is closing.
 	ErrorCode string          `json:"errorCode,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
 	Text      string          `json:"text,omitempty"`
 	// ElapsedMs is submission-to-terminal wall time; ~0 for cache hits.
 	ElapsedMs float64 `json:"elapsedMs,omitempty"`
+	// Stages break the job's wall time down by lifecycle stage, in
+	// order: received, queued, cache-check, running, marshal, done. A
+	// stage the job never reached is omitted, and only a terminal job
+	// has done, so a terminal job's stages tile ElapsedMs.
+	Stages []SpanStage `json:"stages,omitempty"`
+}
+
+// SpanStage is one contiguous lifecycle stage; StartMs is relative to
+// the job's admission.
+type SpanStage struct {
+	Name    string  `json:"name"`
+	StartMs float64 `json:"startMs"`
+	DurMs   float64 `json:"durMs"`
+}
+
+// SpanView is kept only for bench/hmcbench, which still reads a job's
+// stages through it; it goes with ROADMAP item 9.
+type SpanView = JobView
+
+// stageMarks are the monotonic lifecycle timestamps a job accumulates
+// on its way through the serving layer. Zero marks mean the job skipped
+// that stage (e.g. a submission-time cache hit never starts running).
+type stageMarks struct {
+	received   time.Time // request admission began
+	queued     time.Time // job record created, queue slot decided
+	runStart   time.Time // a worker picked the job up
+	cacheDone  time.Time // the worker's (or submit path's) cache check ended
+	runEnd     time.Time // the simulation returned
+	marshalEnd time.Time // the result finished encoding
+}
+
+func msBetween(a, b time.Time) float64 {
+	return float64(b.Sub(a).Microseconds()) / 1000
 }
 
 // Decode unpacks a terminal view's result into the public Result type,
@@ -205,7 +238,9 @@ func (v JobView) Decode() (hmcsim.Result, error) {
 	return res, nil
 }
 
-// View snapshots the job for serialization.
+// View snapshots the job for serialization. Each recorded mark closes
+// the stage that led to it and the terminal transition closes done, so
+// the stages are contiguous from the job's admission.
 func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -220,10 +255,40 @@ func (j *Job) View() JobView {
 		Result:    j.result,
 		Text:      j.text,
 	}
+	m := &j.marks
+	prev := m.received
+	v.Stages = make([]SpanStage, 0, 6)
+	stage := func(name string, at time.Time) {
+		if at.IsZero() || at.Before(prev) {
+			return
+		}
+		v.Stages = append(v.Stages, SpanStage{
+			Name:    name,
+			StartMs: msBetween(m.received, prev),
+			DurMs:   msBetween(prev, at),
+		})
+		prev = at
+	}
+	stage("received", m.queued)
+	stage("queued", m.runStart)
+	stage("cache-check", m.cacheDone)
+	stage("running", m.runEnd)
+	stage("marshal", m.marshalEnd)
 	if !j.finished.IsZero() {
-		v.ElapsedMs = float64(j.finished.Sub(j.submitted).Microseconds()) / 1000
+		stage("done", j.finished)
+		v.ElapsedMs = msBetween(m.received, j.finished)
 	}
 	return v
+}
+
+// mark stamps one stage mark the first time it is reached, so the
+// submit-path and worker-path cache checks cannot double-stamp.
+func (j *Job) mark(at *time.Time) {
+	j.mu.Lock()
+	if at.IsZero() {
+		*at = time.Now()
+	}
+	j.mu.Unlock()
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -267,6 +332,9 @@ func (j *Job) finishLocked(s State) {
 		return
 	}
 	j.state = s
+	if s == StateCanceled && errors.Is(context.Cause(j.ctx), errClosed) {
+		j.err, j.errCode = errClosed.Error(), codeShuttingDown
+	}
 	j.finished = time.Now()
 	j.cancel() // release the context's resources
 	close(j.done)

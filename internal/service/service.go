@@ -54,9 +54,9 @@ type Config struct {
 	// disables retention and prunes strictly at MaxJobs.
 	Retain time.Duration
 	// Logger, when non-nil, receives structured job-lifecycle records
-	// (admission, terminal state, latency) with the job's trace ID
-	// attached, so daemon logs correlate with span views. Nil disables
-	// lifecycle logging.
+	// (admission, terminal state, latency), each carrying the job's spec
+	// key, which correlates one spec's jobs across daemons and caches.
+	// Nil disables lifecycle logging.
 	Logger *slog.Logger
 }
 
@@ -90,7 +90,7 @@ type Server struct {
 	cache   *Cache
 
 	baseCtx context.Context
-	stop    context.CancelFunc
+	stop    context.CancelCauseFunc
 	queue   chan *Job
 	wg      sync.WaitGroup
 
@@ -135,7 +135,7 @@ type Server struct {
 // exp.Runners()) and starts its worker pool.
 func New(cfg Config, runners []hmcsim.Runner) *Server {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:      cfg,
 		runners:  make(map[string]hmcsim.Runner, len(runners)),
@@ -177,8 +177,9 @@ func (w *workerStat) busy() time.Duration {
 	return d
 }
 
-// Close cancels every queued and in-flight job and stops the workers.
-// Subsequent submissions are rejected.
+// Close cancels every queued, running and adopting job with the
+// shutting_down code and stops the workers. Subsequent submissions are
+// rejected.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -186,8 +187,10 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	// Canceling under s.mu means an adopter that sees closed also sees
+	// its context canceled by the shutdown.
+	s.stop(errClosed)
 	s.mu.Unlock()
-	s.stop()       // cancels every job context derived from baseCtx
 	close(s.queue) // workers drain the (now canceled) backlog and exit
 	s.wg.Wait()
 }
@@ -226,7 +229,7 @@ func (s *Server) runJob(j *Job, worker int) {
 		j.completeFromCache(blob)
 		return
 	}
-	j.markCacheDone()
+	j.mark(&j.marks.cacheDone)
 	if n := s.running.Add(1); n > s.runningPeak.Load() {
 		// Racy read-then-CAS keeps the peak monotone without a lock.
 		for {
@@ -252,7 +255,7 @@ func (s *Server) runJob(j *Job, worker int) {
 		j.setProgress(p)
 	})
 	res, err := runSafely(pctx, runner, o)
-	j.markRunEnd()
+	j.mark(&j.marks.runEnd)
 	switch {
 	case j.ctx.Err() != nil:
 		// The sweep returned early with partial data; discard it.
@@ -261,7 +264,7 @@ func (s *Server) runJob(j *Job, worker int) {
 		j.fail(err.Error())
 	default:
 		blob, o, err := encodeOutcome(res)
-		j.markMarshalEnd()
+		j.mark(&j.marks.marshalEnd)
 		if err != nil {
 			j.fail(fmt.Sprintf("encode result: %v", err))
 			return
@@ -273,7 +276,7 @@ func (s *Server) runJob(j *Job, worker int) {
 
 // jobFinished is every job's terminal hook, called with j.mu held: it
 // feeds the latency histograms and, when a logger is configured, logs
-// the job's terminal record with its trace ID.
+// the job's terminal record.
 func (s *Server) jobFinished(j *Job) {
 	m := &j.marks
 	ran := !m.runStart.IsZero()
@@ -295,7 +298,7 @@ func (s *Server) jobFinished(j *Job) {
 	s.histMu.Unlock()
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("job finished",
-			"job", j.id, "exp", j.spec.Exp, "traceId", j.traceID,
+			"job", j.id, "exp", j.spec.Exp, "key", j.key,
 			"state", string(j.state), "cached", j.cached, "worker", j.worker,
 			"queueMs", queueMs, "runMs", runMs, "totalMs", totalMs,
 			"error", j.err)
@@ -329,7 +332,7 @@ func encodeOutcome(res hmcsim.Result) ([]byte, outcome, error) {
 
 // completeFromCache finishes a job with previously cached bytes.
 func (j *Job) completeFromCache(blob []byte) {
-	j.markCacheDone()
+	j.mark(&j.marks.cacheDone)
 	var o outcome
 	if err := json.Unmarshal(blob, &o); err != nil {
 		j.fail(fmt.Sprintf("decode cached outcome: %v", err))
@@ -366,22 +369,21 @@ func specErr(n, i int, err error) error {
 	return fmt.Errorf("spec %d: %w", i, err)
 }
 
-// Submit validates and admits specs, stamping traceID on every job it
-// creates: cache hits come back as already-terminal jobs, duplicates
-// (within the submission or of an already in-flight spec) coalesce
-// onto one representative, and the rest are queued atomically —
-// either every spec that needs a queue slot gets one, or the whole
-// submission is rejected with the queue-full error and no job is
-// created. Returned jobs are in submission order.
-func (s *Server) Submit(traceID string, specs ...hmcsim.Spec) ([]*Job, error) {
+// Submit validates and admits specs: cache hits come back as
+// already-terminal jobs, duplicates (within the submission or of an
+// already in-flight spec) coalesce onto one representative, and the
+// rest are queued atomically — either every spec that needs a queue
+// slot gets one, or the whole submission is rejected with the
+// queue-full error and no job is created. Returned jobs are in
+// submission order.
+func (s *Server) Submit(specs ...hmcsim.Spec) ([]*Job, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("empty batch")
 	}
 	if len(specs) > MaxBatchSpecs {
 		return nil, fmt.Errorf("batch of %d specs exceeds the %d-spec limit; split the submission", len(specs), MaxBatchSpecs)
 	}
-	received := time.Now() // anchors every created job's span breakdown
-	traceID = clampTraceID(traceID)
+	received := time.Now() // anchors every created job's stages
 	// Validate everything before admitting anything: a bad spec late in
 	// a batch must not leave the earlier ones running.
 	keys := make([]string, len(specs))
@@ -482,29 +484,27 @@ func (s *Server) Submit(traceID string, specs ...hmcsim.Spec) ([]*Job, error) {
 		s.seq++
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		j := &Job{
-			id:      fmt.Sprintf("j%06d", s.seq),
-			spec:    spec,
-			key:     keys[i],
-			ctx:     ctx,
-			cancel:  cancel,
-			state:   StateQueued,
-			done:    make(chan struct{}),
-			traceID: traceID,
-			worker:  -1,
-			srv:     s,
+			id:     fmt.Sprintf("j%06d", s.seq),
+			spec:   spec,
+			key:    keys[i],
+			ctx:    ctx,
+			cancel: cancel,
+			state:  StateQueued,
+			done:   make(chan struct{}),
+			worker: -1,
+			srv:    s,
 		}
-		j.submitted = received
 		j.marks.received = received
 		j.marks.queued = time.Now()
 		jobs[i] = j
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Info("job admitted",
-				"job", j.id, "exp", spec.Exp, "traceId", j.traceID,
+				"job", j.id, "exp", spec.Exp, "key", j.key,
 				"cached", disp[i] == dispHit, "adopted", disp[i] == dispAdoptTwin || disp[i] == dispAdoptBatch)
 		}
 		switch disp[i] {
 		case dispHit:
-			j.markCacheDone()
+			j.mark(&j.marks.cacheDone)
 			j.complete(*hits[i], true)
 			s.insertLocked(j)
 		case dispAdoptTwin:

@@ -188,7 +188,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitJob(t, c, j3.ID)
 
 	got := waitJob(t, c, j2.ID)
-	if got.State != StateCanceled || len(got.Result) != 0 {
+	if got.State != StateCanceled || len(got.Result) != 0 || got.ErrorCode != "" {
 		t.Fatalf("canceled job ended as %+v", got)
 	}
 	if n := bystander.runs.Load(); n != 0 {
@@ -212,8 +212,8 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitJob(t, c, j.ID)
-	if got.State != StateCanceled {
-		t.Fatalf("running job canceled to state %s", got.State)
+	if got.State != StateCanceled || got.ErrorCode != "" {
+		t.Fatalf("running job canceled to state %s, code %q", got.State, got.ErrorCode)
 	}
 	if len(got.Result) != 0 {
 		t.Fatal("canceled job kept a partial result")
@@ -315,8 +315,9 @@ func TestExperimentsHealthzAndJobLookup(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %s", resp.Status)
 	}
-	// /v1/stats is the one aggregate surface: no /metrics or /v1/flight.
-	for _, path := range []string{"/metrics", "/v1/flight"} {
+	// /v1/stats is the one aggregate surface: no /metrics or /v1/flight;
+	// and the job view is the one per-job timing surface: no /spans.
+	for _, path := range []string{"/metrics", "/v1/flight", "/v1/jobs/j000001/spans"} {
 		resp, err := c.httpClient().Get(c.Base + path)
 		if err != nil {
 			t.Fatal(err)
@@ -404,26 +405,33 @@ func TestCloseCancelsBacklog(t *testing.T) {
 	blocker := newBlockingFake("slow")
 	other := newFake("other")
 	s := New(Config{Workers: 1, QueueDepth: 8}, []hmcsim.Runner{blocker, other})
-	j1, err := s.Submit("", hmcsim.Spec{Exp: "slow"})
+	j1, err := s.Submit(hmcsim.Spec{Exp: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-blocker.started
-	j2, err := s.Submit("", hmcsim.Spec{Exp: "other"})
+	j2, err := s.Submit(hmcsim.Spec{Exp: "other"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := s.Submit(hmcsim.Spec{Exp: "slow"}) // adopts the running job
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close() // cancels the running job's ctx and drains the backlog
-	if v := j1[0].View(); v.State != StateCanceled {
-		t.Fatalf("running job after Close: %s", v.State)
-	}
-	if v := j2[0].View(); v.State != StateCanceled {
-		t.Fatalf("queued job after Close: %s", v.State)
+	<-twin[0].Done()
+	for _, j := range []struct {
+		what string
+		job  *Job
+	}{{"running", j1[0]}, {"queued", j2[0]}, {"adopting", twin[0]}} {
+		if v := j.job.View(); v.State != StateCanceled || v.ErrorCode != codeShuttingDown {
+			t.Fatalf("%s job after Close: %s with code %q, want canceled with %q", j.what, v.State, v.ErrorCode, codeShuttingDown)
+		}
 	}
 	if other.runs.Load() != 0 {
 		t.Fatal("backlog job ran during shutdown")
 	}
-	if _, err := s.Submit("", hmcsim.Spec{Exp: "other"}); err == nil {
+	if _, err := s.Submit(hmcsim.Spec{Exp: "other"}); err == nil {
 		t.Fatal("submission accepted after Close")
 	}
 }

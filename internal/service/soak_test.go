@@ -208,12 +208,32 @@ var boundedFleetErr = regexp.MustCompile(`^(experiment "[^"]+" failed on \S+ aft
 // soaks N fixed seeds in turn.
 var soakRounds atomic.Int64
 
+// crashRunner wraps a runner of the daemon the soak crashes. Once
+// armed, the next job it runs blocks, reports on running, and returns
+// only when the daemon's shutdown cancels it.
+type crashRunner struct {
+	hmcsim.Runner
+	armed   *atomic.Bool
+	running chan<- struct{}
+}
+
+func (r crashRunner) Run(ctx context.Context, o hmcsim.Options) (hmcsim.Result, error) {
+	if !r.armed.CompareAndSwap(true, false) {
+		return r.Runner.Run(ctx, o)
+	}
+	r.running <- struct{}{}
+	<-ctx.Done()
+	return hmcsim.Result{}, ctx.Err()
+}
+
 // TestFleetSoak drives Fleet.Run over three in-process daemons whose
-// clients reach them through a fault-injecting transport. Every run
-// must return the bytes of a local run or one of the fleet's two
-// bounded errors, well before its deadline; most runs must converge;
-// and once the daemons drain, no job is left active, every job table
-// is within MaxJobs, and no goroutine outlives the daemons.
+// clients reach them through a fault-injecting transport, and crashes
+// one daemon (Server.Close) while it runs a fleet job; a fresh daemon
+// takes its place from the next run on. Every run must return the
+// bytes of a local run or one of the fleet's two bounded errors, well
+// before its deadline; most runs must converge; and once the daemons
+// drain, no job is left active, every job table is within MaxJobs, and
+// no goroutine outlives the daemons.
 func TestFleetSoak(t *testing.T) {
 	old := sseKeepAlive
 	sseKeepAlive = 50 * time.Millisecond // a stalled stream fails in 100 ms
@@ -224,6 +244,8 @@ func TestFleetSoak(t *testing.T) {
 		maxJobs = 16
 		runs    = 24
 		rate    = 0.12
+		victim  = 0 // the daemon that crashes
+		crashAt = 2 // the run from which its next job waits for the crash
 	)
 
 	base := runtime.NumGoroutine()
@@ -231,15 +253,27 @@ func TestFleetSoak(t *testing.T) {
 	var servers []*Server
 	var fronts []*httptest.Server
 	var clients []*Client
-	for i := 0; i < daemons; i++ {
-		s := New(Config{Workers: 2, MaxJobs: maxJobs, Retain: -1}, exp.Runners())
+	// start runs one more daemon and returns its client.
+	start := func(runners []hmcsim.Runner) *Client {
+		s := New(Config{Workers: 2, MaxJobs: maxJobs, Retain: -1}, runners)
 		ts := httptest.NewServer(s.Handler())
 		servers = append(servers, s)
 		fronts = append(fronts, ts)
-		clients = append(clients, &Client{Base: ts.URL, HTTP: &http.Client{
+		return &Client{Base: ts.URL, HTTP: &http.Client{
 			Transport: &faultyTransport{base: ts.Client().Transport, f: f},
 			Timeout:   5 * time.Second,
-		}})
+		}}
+	}
+	var armed atomic.Bool
+	running := make(chan struct{}, 1)
+	for i := 0; i < daemons; i++ {
+		runners := exp.Runners()
+		if i == victim {
+			for k, r := range runners {
+				runners[k] = crashRunner{Runner: r, armed: &armed, running: running}
+			}
+		}
+		clients = append(clients, start(runners))
 	}
 	closed := false
 	closeDaemons := func() {
@@ -269,8 +303,30 @@ func TestFleetSoak(t *testing.T) {
 		return blob, res.String()
 	}
 
+	crashing := servers[victim]
+	crashed := make(chan struct{})
+	go func() {
+		<-running
+		crashing.Close()
+		close(crashed)
+	}()
+
 	converged := 0
+	restarted := false
 	for run := 0; run < runs; run++ {
+		if run == crashAt {
+			armed.Store(true)
+		}
+		if !restarted {
+			select {
+			case <-crashed:
+				// As a supervisor would, bring up a fresh daemon in the
+				// crashed one's place for the runs that follow.
+				clients[victim] = start(exp.Runners())
+				restarted = true
+			default:
+			}
+		}
 		var specs []hmcsim.Spec
 		for k := 0; k < 3; k++ {
 			o := hmcsim.Options{Quick: true, Seed: uint64(seed*1000 + int64(run*10+k) + 1)}
@@ -312,7 +368,26 @@ func TestFleetSoak(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("seed %d: %d of %d runs converged; faults fired: %v", seed, converged, runs, f.fired)
+	select {
+	case <-crashed:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no job reached daemon %d after run %d, so it never crashed", victim, crashAt)
+	}
+	// The crash canceled the job it ran, and any other it held, with
+	// the shutting_down code; no later job was admitted.
+	held := 0
+	crashing.mu.Lock()
+	for _, j := range crashing.jobs {
+		if j.View().ErrorCode == codeShuttingDown {
+			held++
+		}
+	}
+	crashing.mu.Unlock()
+	if held == 0 {
+		t.Errorf("daemon %d crashed holding no queued or running job", victim)
+	}
+	t.Logf("seed %d: %d of %d runs converged; daemon %d crashed holding %d job(s); faults fired: %v",
+		seed, converged, runs, victim, held, f.fired)
 	if converged < runs/2 {
 		t.Errorf("%d of %d runs converged, want at least half", converged, runs)
 	}

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -17,17 +18,8 @@ import (
 	"hmcsim"
 )
 
-// sumStages adds up a span view's stage durations.
-func sumStages(v SpanView) float64 {
-	var sum float64
-	for _, st := range v.Stages {
-		sum += st.DurMs
-	}
-	return sum
-}
-
 // stageNames extracts the stage names in order.
-func stageNames(v SpanView) []string {
+func stageNames(v JobView) []string {
 	names := make([]string, len(v.Stages))
 	for i, st := range v.Stages {
 		names[i] = st.Name
@@ -35,69 +27,59 @@ func stageNames(v SpanView) []string {
 	return names
 }
 
-// TestSpansTileJobLatency: a worker-run job's stages cover the full
-// lifecycle in order, tile contiguously from zero, and sum exactly to
-// the view's end-to-end latency.
+// checkTiles asserts that a terminal view's stages run contiguously
+// from zero and sum to its ElapsedMs. Each stage is truncated to the
+// microsecond, so the sum may miss by one truncation step per stage.
+func checkTiles(t *testing.T, v JobView) {
+	t.Helper()
+	if len(v.Stages) == 0 || v.Stages[len(v.Stages)-1].Name != "done" {
+		t.Fatalf("job %s: stages %v do not end in done", v.ID, stageNames(v))
+	}
+	var cursor, sum float64
+	for _, st := range v.Stages {
+		if math.Abs(st.StartMs-cursor) > 0.002 {
+			t.Fatalf("job %s: stage %q starts at %.3f, want %.3f (gap in timeline)", v.ID, st.Name, st.StartMs, cursor)
+		}
+		if st.DurMs < 0 {
+			t.Fatalf("job %s: stage %q has negative duration %.3f", v.ID, st.Name, st.DurMs)
+		}
+		cursor = st.StartMs + st.DurMs
+		sum += st.DurMs
+	}
+	if diff := math.Abs(sum - v.ElapsedMs); diff > 0.001*float64(len(v.Stages)) {
+		t.Fatalf("job %s: stages sum to %.3f ms, ElapsedMs %.3f ms (diff %.3f)", v.ID, sum, v.ElapsedMs, diff)
+	}
+}
+
+// TestSpansTileJobLatency: a worker-run job's view carries every
+// lifecycle stage in order, contiguous from zero, summing to the view's
+// end-to-end latency.
 func TestSpansTileJobLatency(t *testing.T) {
 	fake := newFake("e")
 	fake.delay = 5 * time.Millisecond
 	_, c := newTestServer(t, Config{Workers: 1}, fake)
 
-	ctx := context.Background()
-	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "e"})
+	v, err := c.Submit(context.Background(), hmcsim.Spec{Exp: "e"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := waitJob(t, c, v.ID)
-
-	sv, err := c.Spans(ctx, v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.ID != v.ID || sv.State != StateDone || sv.Cached {
-		t.Fatalf("span view header mismatch: %+v", sv)
-	}
-	if sv.Worker < 0 {
-		t.Fatalf("worker-run job has Worker %d, want >= 0", sv.Worker)
+	if done.State != StateDone || done.Cached {
+		t.Fatalf("job view %+v, want a simulated done job", done)
 	}
 	want := []string{"received", "queued", "cache-check", "running", "marshal", "done"}
-	got := stageNames(sv)
-	if len(got) != len(want) {
+	if got := stageNames(done); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("stages %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stage %d is %q, want %q (all: %v)", i, got[i], want[i], got)
-		}
-	}
-	// Contiguity: each stage starts where the previous one ended.
-	var cursor float64
-	for _, st := range sv.Stages {
-		if math.Abs(st.StartMs-cursor) > 0.002 {
-			t.Fatalf("stage %q starts at %.3f, want %.3f (gap in timeline)", st.Name, st.StartMs, cursor)
-		}
-		if st.DurMs < 0 {
-			t.Fatalf("stage %q has negative duration %.3f", st.Name, st.DurMs)
-		}
-		cursor = st.StartMs + st.DurMs
-	}
-	// The acceptance bar: stage durations sum to the observed
-	// end-to-end latency. Each stage is microsecond-truncated, so allow
-	// one truncation step per stage.
-	if diff := math.Abs(sumStages(sv) - sv.TotalMs); diff > 0.001*float64(len(sv.Stages)) {
-		t.Fatalf("stages sum to %.3f ms, TotalMs %.3f ms (diff %.3f)", sumStages(sv), sv.TotalMs, diff)
-	}
-	if diff := math.Abs(sv.TotalMs - done.ElapsedMs); diff > 0.002 {
-		t.Fatalf("span TotalMs %.3f, job ElapsedMs %.3f", sv.TotalMs, done.ElapsedMs)
-	}
-	if sv.TotalMs < 5 {
-		t.Fatalf("TotalMs %.3f ms, want >= the runner's 5 ms delay", sv.TotalMs)
+	checkTiles(t, done)
+	if done.ElapsedMs < 5 {
+		t.Fatalf("ElapsedMs %.3f ms, want >= the runner's 5 ms delay", done.ElapsedMs)
 	}
 }
 
 // TestSpansCacheHit: a submission-time cache hit never touches a
-// worker — its spans collapse to received/cache-check/done with
-// Worker -1, and the durations still tile TotalMs.
+// worker, so its view has no running or marshal stage, and its stages
+// still tile ElapsedMs.
 func TestSpansCacheHit(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1}, newFake("e"))
 	ctx := context.Background()
@@ -116,62 +98,43 @@ func TestSpansCacheHit(t *testing.T) {
 	if !v2.Cached {
 		t.Fatalf("second submission not served from cache: %+v", v2)
 	}
-	sv, err := c.Spans(ctx, v2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sv.Cached || sv.Worker != -1 {
-		t.Fatalf("cache-hit spans report Cached=%v Worker=%d, want true/-1", sv.Cached, sv.Worker)
-	}
-	for _, st := range sv.Stages {
+	for _, st := range v2.Stages {
 		if st.Name == "running" || st.Name == "marshal" {
-			t.Fatalf("cache-hit job has a %q stage: %v", st.Name, stageNames(sv))
+			t.Fatalf("cache-hit job has a %q stage: %v", st.Name, stageNames(v2))
 		}
 	}
-	if diff := math.Abs(sumStages(sv) - sv.TotalMs); diff > 0.001*float64(len(sv.Stages)) {
-		t.Fatalf("cache-hit stages sum %.3f, TotalMs %.3f", sumStages(sv), sv.TotalMs)
-	}
+	checkTiles(t, v2)
 }
 
-// TestSpansTraceIDPropagation: the client's X-Hmcsim-Trace-Id header
-// lands on the created job and flows into its span view; oversized IDs
-// are clamped, not rejected.
-func TestSpansTraceIDPropagation(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1}, newFake("e"))
-	c.TraceID = "trace-abc123"
+// TestSpansLiveJob: a job still running reports only the stages it has
+// reached: no running, marshal or done stage yet.
+func TestSpansLiveJob(t *testing.T) {
+	fake := newBlockingFake("e")
+	_, c := newTestServer(t, Config{Workers: 1}, fake)
 	ctx := context.Background()
 
 	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "e"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-fake.started
+	live, err := c.Job(ctx, v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.State != StateRunning {
+		t.Fatalf("state %s, want running", live.State)
+	}
+	if len(live.Stages) == 0 || live.Stages[0].Name != "received" {
+		t.Fatalf("live job stages %v, want them to start with received", stageNames(live))
+	}
+	for _, st := range live.Stages {
+		if st.Name == "done" || st.Name == "running" || st.Name == "marshal" {
+			t.Fatalf("live job already reports stage %q: %v", st.Name, stageNames(live))
+		}
+	}
+	close(fake.release)
 	waitJob(t, c, v.ID)
-	sv, err := c.Spans(ctx, v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.TraceID != "trace-abc123" {
-		t.Fatalf("span TraceID %q, want %q", sv.TraceID, "trace-abc123")
-	}
-
-	// A hostile ID is truncated to the bound.
-	long := make([]byte, 3*maxTraceID)
-	for i := range long {
-		long[i] = 'x'
-	}
-	c.TraceID = string(long)
-	v2, err := c.Submit(ctx, hmcsim.Spec{Exp: "e", Options: hmcsim.Options{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, c, v2.ID)
-	sv2, err := c.Spans(ctx, v2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sv2.TraceID) != maxTraceID {
-		t.Fatalf("oversized trace ID stored as %d bytes, want clamped to %d", len(sv2.TraceID), maxTraceID)
-	}
 }
 
 // syncBuffer is a mutex-guarded log sink: the slog handler writes from
@@ -203,17 +166,15 @@ func (f failRunner) Run(ctx context.Context, o hmcsim.Options) (hmcsim.Result, e
 }
 
 // TestJobLogRecordsTrace: the structured logger emits "job admitted"
-// and "job finished" JSON records carrying the submission's trace ID,
-// and a failed job's finished record carries its state and error.
+// and "job finished" JSON records carrying the job's spec key, and a
+// failed job's finished record carries its state and error.
 func TestJobLogRecordsTrace(t *testing.T) {
-	const traceID = "cafe0123cafe0123"
 	var logBuf syncBuffer
 	cfg := Config{
 		Workers: 1,
 		Logger:  slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	}
 	_, c := newTestServer(t, cfg, newFake("e"), failRunner{name: "bad"})
-	c.TraceID = traceID
 	ctx := context.Background()
 
 	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "e"})
@@ -226,6 +187,7 @@ func TestJobLogRecordsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, c, bad.ID)
+	keys := map[string]string{v.ID: v.Key, bad.ID: bad.Key}
 
 	// The finished record is logged inside the terminal transition,
 	// which the watch may observe first; give the write a moment.
@@ -234,11 +196,11 @@ func TestJobLogRecordsTrace(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	type record struct {
-		Msg     string `json:"msg"`
-		Job     string `json:"job"`
-		TraceID string `json:"traceId"`
-		State   string `json:"state"`
-		Error   string `json:"error"`
+		Msg   string `json:"msg"`
+		Job   string `json:"job"`
+		Key   string `json:"key"`
+		State string `json:"state"`
+		Error string `json:"error"`
 	}
 	seen := map[string]record{}
 	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
@@ -250,8 +212,8 @@ func TestJobLogRecordsTrace(t *testing.T) {
 			continue
 		}
 		seen[rec.Job+" "+rec.Msg] = rec
-		if rec.TraceID != traceID {
-			t.Errorf("%q record of %s has traceId %q, want %q", rec.Msg, rec.Job, rec.TraceID, traceID)
+		if rec.Key == "" || rec.Key != keys[rec.Job] {
+			t.Errorf("%q record of %s has key %q, want %q", rec.Msg, rec.Job, rec.Key, keys[rec.Job])
 		}
 	}
 	for _, want := range []string{v.ID + " job admitted", v.ID + " job finished", bad.ID + " job finished"} {
@@ -264,52 +226,9 @@ func TestJobLogRecordsTrace(t *testing.T) {
 	}
 }
 
-// TestSpansUnknownJob: asking for spans of a job that does not exist is
-// a clean 404.
-func TestSpansUnknownJob(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1}, newFake("e"))
-	_, err := c.Spans(context.Background(), "nope")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
-		t.Fatalf("want 404 APIError, got %v", err)
-	}
-}
-
-// TestSpansLiveJob: a job still running reports only the stages it has
-// reached — no premature "done" — and TotalMs grows with wall time.
-func TestSpansLiveJob(t *testing.T) {
-	fake := newBlockingFake("e")
-	_, c := newTestServer(t, Config{Workers: 1}, fake)
-	ctx := context.Background()
-
-	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "e"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-fake.started
-	sv, err := c.Spans(ctx, v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.State != StateRunning {
-		t.Fatalf("state %s, want running", sv.State)
-	}
-	for _, st := range sv.Stages {
-		if st.Name == "done" || st.Name == "running" || st.Name == "marshal" {
-			t.Fatalf("live job already reports stage %q: %v", st.Name, stageNames(sv))
-		}
-	}
-	if sv.TotalMs <= 0 {
-		t.Fatalf("live job TotalMs %.3f, want > 0", sv.TotalMs)
-	}
-	close(fake.release)
-	waitJob(t, c, v.ID)
-}
-
-// TestFleetSpansAggregation is the end-to-end acceptance check: jobs
-// submitted through a Fleet come back with span breakdowns whose stages
-// sum (within tolerance) to the observed end-to-end latency, all
-// stamped with the fleet run's shared trace ID.
+// TestFleetSpansAggregation: OnSpans receives every unique spec's
+// terminal view from the daemon that ran it, stages included, and each
+// view's stages tile its end-to-end latency.
 func TestFleetSpansAggregation(t *testing.T) {
 	var clients []*Client
 	for i := 0; i < 2; i++ {
@@ -319,63 +238,94 @@ func TestFleetSpansAggregation(t *testing.T) {
 		clients = append(clients, c)
 	}
 
-	type spanReport struct {
-		daemon string
-		seed   uint64
-		sv     SpanView
-	}
-	var reports []spanReport
+	daemons := map[string]bool{}
+	bySeed := map[uint64]JobView{}
 	f := &Fleet{
 		Clients: clients,
 		OnSpans: func(daemon string, spec hmcsim.Spec, sv SpanView) {
-			reports = append(reports, spanReport{daemon, spec.Options.Seed, sv})
+			daemons[daemon] = true
+			bySeed[spec.Options.Seed] = sv
 		},
 	}
-
-	specs := seedSpecs("e", 6)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	specs := seedSpecs("e", 6)
 	views, err := f.Run(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OnSpans callbacks are serialized under the fleet's log mutex and
-	// all fire before Run returns.
-	if len(reports) != len(specs) {
-		t.Fatalf("got %d span reports for %d specs", len(reports), len(specs))
-	}
-	traceIDs := map[string]bool{}
-	daemons := map[string]bool{}
-	for _, r := range reports {
-		if r.sv.TraceID == "" {
-			t.Fatalf("fleet span report missing trace ID: %+v", r.sv)
-		}
-		traceIDs[r.sv.TraceID] = true
-		daemons[r.daemon] = true
-		if len(r.sv.Stages) == 0 {
-			t.Fatalf("span report for %s has no stages", r.sv.ID)
-		}
-		if diff := math.Abs(sumStages(r.sv) - r.sv.TotalMs); diff > 0.001*float64(len(r.sv.Stages)) {
-			t.Fatalf("job %s stages sum %.3f, TotalMs %.3f", r.sv.ID, sumStages(r.sv), r.sv.TotalMs)
-		}
-	}
-	if len(traceIDs) != 1 {
-		t.Fatalf("fleet run stamped %d distinct trace IDs, want 1: %v", len(traceIDs), traceIDs)
+	// OnSpans calls are serialized under the fleet's log mutex and all
+	// happen before Run returns.
+	if len(bySeed) != len(specs) {
+		t.Fatalf("OnSpans saw %d specs, want %d", len(bySeed), len(specs))
 	}
 	if len(daemons) != 2 {
-		t.Fatalf("span reports cover %d daemons, want 2", len(daemons))
+		t.Fatalf("OnSpans covers %d daemons, want 2", len(daemons))
 	}
-	// Each report's TotalMs matches the corresponding returned view's
-	// end-to-end latency. Job IDs are per-daemon sequences (two daemons
-	// both mint a j000001), so correlate by the spec's seed: views come
-	// back in submission order, and every seeded spec is distinct.
-	for _, r := range reports {
-		i := int(r.seed) - 1
-		if i < 0 || i >= len(views) {
-			t.Fatalf("span report for unknown seed %d", r.seed)
+	for i, v := range views {
+		sv := bySeed[specs[i].Options.Seed]
+		if sv.ID != v.ID || sv.ElapsedMs != v.ElapsedMs || len(sv.Stages) != len(v.Stages) {
+			t.Fatalf("seed %d: OnSpans view %+v differs from the returned view %+v", i+1, sv, v)
 		}
-		if diff := math.Abs(r.sv.TotalMs - views[i].ElapsedMs); diff > 0.002 {
-			t.Fatalf("seed %d span TotalMs %.3f, view ElapsedMs %.3f", r.seed, r.sv.TotalMs, views[i].ElapsedMs)
+		checkTiles(t, sv)
+	}
+}
+
+// jobPath matches a job ID in a request path, so request counts can be
+// compared across daemons that mint the same IDs at different times.
+var jobPath = regexp.MustCompile(`/v1/jobs/[^/]+`)
+
+// TestFleetOnSpansMakesNoRequest: OnSpans reads the terminal view the
+// fleet already holds, so a run with it makes exactly the requests of a
+// run without it, for watched jobs and for cache hits alike.
+func TestFleetOnSpansMakesNoRequest(t *testing.T) {
+	const n = 3
+	requests := func(onSpans bool) map[string]int {
+		fake := newBlockingFake("e")
+		s := New(Config{Workers: n}, []hmcsim.Runner{fake})
+		var mu sync.Mutex
+		counts := map[string]int{}
+		streams := make(chan struct{}, n)
+		handler := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			path := jobPath.ReplaceAllString(r.URL.Path, "/v1/jobs/{id}")
+			mu.Lock()
+			counts[r.Method+" "+path]++
+			mu.Unlock()
+			if strings.HasSuffix(path, "/progress") {
+				streams <- struct{}{}
+			}
+			handler.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { ts.Close(); s.Close() })
+
+		calls := 0
+		f := &Fleet{Clients: []*Client{{Base: ts.URL, HTTP: ts.Client()}}, MaxInflight: n}
+		if onSpans {
+			f.OnSpans = func(string, hmcsim.Spec, SpanView) { calls++ }
 		}
+		// Hold every job running until each has its progress stream, so
+		// both runs watch all n jobs; the rerun is all cache hits.
+		go func() {
+			for i := 0; i < n; i++ {
+				<-streams
+			}
+			close(fake.release)
+		}()
+		for rep := 0; rep < 2; rep++ {
+			if _, err := f.Run(context.Background(), seedSpecs("e", n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if onSpans && calls != 2*n {
+			t.Errorf("OnSpans ran %d times, want %d", calls, 2*n)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return counts
+	}
+	without, with := requests(false), requests(true)
+	if fmt.Sprint(with) != fmt.Sprint(without) {
+		t.Fatalf("requests with OnSpans %v, without %v", with, without)
 	}
 }

@@ -75,8 +75,7 @@ func (s Series) Lookup(label string, x float64) (float64, bool) {
 }
 
 // Runner is a named, self-describing experiment. The paper's tables and
-// figures implement it via the registry in internal/exp; RemoteRunner
-// adapts experiments served by a daemon fleet.
+// figures implement it via the registry in internal/exp.
 //
 // Run observes ctx between sweep points: cancelling it makes the runner
 // stop scheduling work and return ctx's error instead of the partial

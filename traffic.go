@@ -41,11 +41,11 @@ const (
 func TrafficPatterns() []string { return traffic.PatternNames() }
 
 // TrafficWorkload drives Ports synthetic-traffic ports against a
-// System and reports what the monitors saw, completing the Workload
-// trio beside GUPS and Streams. Validate rejects bad specs up front;
-// Run panics on an invalid spec (the Workload interface has no error
-// return), so callers accepting untrusted specs must Validate first —
-// the CLI and the daemon both do.
+// System and reports what the monitors saw, beside GUPS and Streams.
+// Validate rejects bad specs up front; Run panics on an invalid spec
+// (its Measurement has no error return, like GUPS.Run's), so callers
+// accepting untrusted specs must Validate first — the CLI and the
+// daemon both do.
 type TrafficWorkload struct {
 	Label   string
 	Traffic TrafficSpec

@@ -73,14 +73,6 @@ func fromMonitor(m *host.Monitor, elapsed Time) Measurement {
 	return out
 }
 
-// Workload generates traffic against a System's port fabric and reports
-// what the monitors saw. Run drives the system's engine to completion
-// of the workload's measurement.
-type Workload interface {
-	Name() string
-	Run(sys *System) Measurement
-}
-
 // GUPS is the free-running random-access workload of the paper's Figure
 // 5a: Ports address generators issue requests of Size bytes shaped by
 // Pattern, warm up for Warmup, then measure for Window.
