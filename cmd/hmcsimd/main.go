@@ -29,7 +29,8 @@
 //	GET    /v1/jobs/{id}/progress
 //	                       live progress as Server-Sent Events: sweep
 //	                       points done/total and simulation headway,
-//	                       ending with the terminal event
+//	                       ending with the terminal event, which carries
+//	                       a failed or canceled job's error and code
 //	DELETE /v1/jobs/{id}   cancel a queued or running job
 //	GET    /v1/experiments registry listing
 //	GET    /v1/stats       queue, worker, job, cache, batch, inflight,

@@ -106,15 +106,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// NewSystem builds a default system with the option seed applied.
-func (o Options) NewSystem() *System {
-	cfg := DefaultConfig()
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	return NewSystem(cfg)
-}
-
 // checkpointEvery is how many retired events pass between engine
 // checkpoints in systems built by NewSystemCtx. Large enough that the
 // countdown branch is noise in the event loop, small enough that
@@ -122,7 +113,8 @@ func (o Options) NewSystem() *System {
 // It matches the engine's own default cadence.
 const checkpointEvery = sim.DefaultCheckpointEvery
 
-// NewSystemCtx builds a system like NewSystem but wired to ctx:
+// NewSystemCtx builds a default system with the option seed applied,
+// wired to ctx:
 //
 //   - If ctx can be cancelled, the engine checks it at periodic
 //     checkpoints in its event loop, so Run and Drain return early
@@ -135,7 +127,8 @@ const checkpointEvery = sim.DefaultCheckpointEvery
 //     both run totals and activity over simulated time.
 //
 // A background context with no sink and no collector yields a system
-// identical to NewSystem, with zero checkpoint overhead.
+// identical to NewSystem(DefaultConfig()) with that seed, with zero
+// checkpoint overhead.
 func (o Options) NewSystemCtx(ctx context.Context) *System {
 	cfg := DefaultConfig()
 	if o.Seed != 0 {

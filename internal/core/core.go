@@ -11,12 +11,12 @@
 // free-running host.TrafficPorts, starts them, measures a window and
 // stops them.
 //
-// Deprecated entry point: core used to be the repository's public face.
-// New code should use the top-level hmcsim package — its workloads
-// (hmcsim.GUPS, hmcsim.Streams, hmcsim.TraceReplay) wrap the drivers
-// here, hmcsim.System embeds *core.System, and experiments register as
-// hmcsim.Runners in internal/exp. RunGUPS and PlayStreams remain as the
-// engine layer those workloads call into.
+// core is the driver layer under the top-level hmcsim package's
+// workloads and the experiment runners: hmcsim.GUPS, hmcsim.Streams and
+// hmcsim.TraceReplay wrap the drivers here, hmcsim.System embeds
+// *core.System, and the runners in internal/exp (fig6, fig13, fig14),
+// hmcsim.HMCDevice and the benchmark's core workloads call RunGUPS
+// directly. Programs outside this module use the hmcsim package.
 //
 // Typical use (via the public API):
 //

@@ -264,3 +264,34 @@ func TestLinkChoiceRoutesResponseBack(t *testing.T) {
 		t.Fatalf("link 0 carried %d responses, want 0", got)
 	}
 }
+
+// TestEndToEndDeterminism re-runs an identical workload and requires
+// bit-identical completion timestamps.
+func TestEndToEndDeterminism(t *testing.T) {
+	run := func() []sim.Time {
+		ha := newHarness(t, DefaultConfig())
+		m := addr.MustMapping(128)
+		rng := sim.NewRand(77)
+		ha.eng.Schedule(0, func() {
+			for i := 0; i < 500; i++ {
+				a := (rng.Uint64() % addr.CubeBytes) &^ 0x7F
+				ha.send(makeRead(uint64(i), m, a, 64, i%2))
+			}
+		})
+		ha.eng.Drain()
+		out := make([]sim.Time, len(ha.done))
+		for i, tr := range ha.done {
+			out[i] = tr.TDone
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("completion %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}

@@ -34,8 +34,8 @@ type StreamPort struct {
 	chanq   sim.Ring[*packet.Transaction] // on the readback channel, FIFO
 	chanFn  func()
 
-	tickT    *sim.Timer // reusable clock-tick event
-	resumeFn func()     // pre-bound tag-pool waiter
+	tickFn   func() // pre-bound clock tick
+	resumeFn func() // pre-bound tag-pool waiter
 
 	trace   []Request
 	cursor  int
@@ -62,10 +62,10 @@ func NewStreamPort(eng *sim.Engine, hostCfg Config, ctrl *Controller, mapp *addr
 		channel: sim.NewServer(eng),
 	}
 	p.chanFn = p.chanDone
-	p.tickT = eng.NewTimer(p.tick)
+	p.tickFn = p.tick
 	p.resumeFn = func() {
 		if p.running {
-			p.tickT.At(p.clock.Next(p.eng.Now()))
+			p.eng.At(p.clock.Next(p.eng.Now()), p.tickFn)
 		}
 	}
 	ctrl.register(id, p)
@@ -84,7 +84,7 @@ func (p *StreamPort) Play(trace []Request) {
 	p.trace = trace
 	p.cursor = 0
 	p.running = true
-	p.tickT.At(p.clock.Next(p.eng.Now()))
+	p.eng.At(p.clock.Next(p.eng.Now()), p.tickFn)
 }
 
 // Busy reports whether the port still has work in flight.
@@ -120,7 +120,7 @@ func (p *StreamPort) tick() {
 	p.issued++
 	p.pending++
 	p.ctrl.Submit(tr)
-	p.tickT.At(p.clock.Next(p.eng.Now() + 1))
+	p.eng.At(p.clock.Next(p.eng.Now()+1), p.tickFn)
 }
 
 // complete streams the response data to the host over the port's channel

@@ -23,8 +23,8 @@ type TrafficConfig struct {
 // traffic.GUPS generator it is the paper's GUPS port (Figure 5a).
 //
 // The steady-state issue path allocates nothing: the tick and phase
-// callbacks are bound once in Timers, transactions come from the port's
-// tag pool, and Gen.Next is allocation-free by contract.
+// callbacks are bound once at construction, transactions come from the
+// port's tag pool, and Gen.Next is allocation-free by contract.
 type TrafficPort struct {
 	id    int
 	eng   *sim.Engine
@@ -37,9 +37,9 @@ type TrafficPort struct {
 
 	Mon Monitor
 
-	tickT     *sim.Timer // reusable clock-tick event
-	phaseT    *sim.Timer // reusable phase-boundary event
-	unblockFn func()     // pre-bound tag-pool waiter
+	tickFn    func() // pre-bound clock tick
+	phaseFn   func() // pre-bound phase boundary
+	unblockFn func() // pre-bound tag-pool waiter
 
 	closed bool
 	phases []traffic.PhaseInfo
@@ -86,8 +86,8 @@ func NewTrafficPort(eng *sim.Engine, hostCfg Config, ctrl *Controller, mapp *add
 		sizeFP: int64(cfg.Size) << 16,
 	}
 	p.bucketCap = 8 * p.sizeFP
-	p.tickT = eng.NewTimer(p.tick)
-	p.phaseT = eng.NewTimer(p.phaseAdvance)
+	p.tickFn = p.tick
+	p.phaseFn = p.phaseAdvance
 	p.unblockFn = func() {
 		p.blocked = false
 		if p.active && !p.off && !p.ticking {
@@ -111,7 +111,7 @@ func (p *TrafficPort) Start() {
 	if len(p.phases) > 0 {
 		p.phase = 0
 		p.applyPhase()
-		p.phaseT.After(p.phases[0].Duration)
+		p.eng.Schedule(p.phases[0].Duration, p.phaseFn)
 		return
 	}
 	p.setRate(p.gen.RateGBps())
@@ -131,7 +131,7 @@ func (p *TrafficPort) Issued() uint64 { return p.issued }
 // so a phase boundary and a tag release cannot double-issue.
 func (p *TrafficPort) armTick(at sim.Time) {
 	p.ticking = true
-	p.tickT.At(at)
+	p.eng.At(at, p.tickFn)
 }
 
 // setRate converts an open-loop GB/s target into token-bucket credit
@@ -152,7 +152,7 @@ func (p *TrafficPort) phaseAdvance() {
 	}
 	p.phase = (p.phase + 1) % len(p.phases)
 	p.applyPhase()
-	p.phaseT.After(p.phases[p.phase].Duration)
+	p.eng.Schedule(p.phases[p.phase].Duration, p.phaseFn)
 }
 
 // applyPhase installs the current phase's pattern, rate, and on/off

@@ -62,9 +62,8 @@ type Config struct {
 	FlitTime sim.Time
 	// HopLatency is the router pipeline + wire delay per hop.
 	HopLatency sim.Time
-	// InputBuffer is the per-output credit pool, in messages. Zero
-	// disables admission control (used by externally flow-controlled
-	// ingress nodes).
+	// InputBuffer is the per-output credit pool, in messages; it must
+	// be at least 1. Quadrant bridges get the same number of credits.
 	InputBuffer int
 
 	// Trace, when non-nil, observes message hops and router occupancy.
@@ -92,13 +91,6 @@ type Router struct {
 	route   func(*Message) int
 	outlets []outState
 
-	// OnForward, when non-nil, runs every time a message of the given
-	// flit count leaves the router. Link-ingress nodes use it to return
-	// link-level tokens. It receives the length rather than the message
-	// because by the time it fires the downstream outlet owns (and may
-	// already have released) the message.
-	OnForward func(flits int)
-
 	received  uint64
 	forwarded uint64
 }
@@ -110,7 +102,7 @@ type outState struct {
 	ch *Chan
 
 	outlet  Outlet
-	credits *sim.TokenPool // nil when InputBuffer == 0
+	credits *sim.TokenPool
 	server  *sim.Server
 	queue   *sim.Queue[*Message]
 	pumping bool
@@ -127,8 +119,8 @@ type outState struct {
 // NewRouter builds a router. route maps a message to an outlet index in
 // outlets; it must be total for all traffic the router can receive.
 func NewRouter(eng *sim.Engine, name string, cfg Config, route func(*Message) int, outlets []Outlet) *Router {
-	if cfg.InputBuffer < 0 {
-		panic(fmt.Sprintf("noc %s: negative InputBuffer", name))
+	if cfg.InputBuffer < 1 {
+		panic(fmt.Sprintf("noc %s: InputBuffer %d, want at least 1", name, cfg.InputBuffer))
 	}
 	r := &Router{
 		name:    name,
@@ -139,13 +131,9 @@ func NewRouter(eng *sim.Engine, name string, cfg Config, route func(*Message) in
 	}
 	for i, o := range outlets {
 		i := i
-		var credits *sim.TokenPool
-		if cfg.InputBuffer > 0 {
-			credits = sim.NewTokenPool(cfg.InputBuffer)
-		}
 		st := &r.outlets[i]
 		st.outlet = o
-		st.credits = credits
+		st.credits = sim.NewTokenPool(cfg.InputBuffer)
 		st.server = sim.NewServer(eng)
 		st.queue = sim.NewQueue[*Message](0) // bounded by the credit pool
 		st.serFn = func() { r.eng.Schedule(r.cfg.HopLatency, st.delivFn) }
@@ -173,7 +161,7 @@ func (r *Router) TryOut(m *Message) bool {
 		}
 		return true
 	}
-	if o.credits != nil && !o.credits.TryAcquire(1) {
+	if !o.credits.TryAcquire(1) {
 		return false
 	}
 	r.accept(m)
@@ -186,10 +174,6 @@ func (r *Router) NotifyOut(m *Message, fn func()) {
 	o := &r.outlets[r.routeIndex(m)]
 	if o.ch != nil {
 		o.ch.NotifyOut(m, fn)
-		return
-	}
-	if o.credits == nil {
-		fn()
 		return
 	}
 	o.credits.Notify(fn)
@@ -241,10 +225,6 @@ func (r *Router) pump(i int) {
 func (r *Router) deliver(i int) {
 	o := &r.outlets[i]
 	m := o.inflight
-	var flits int
-	if r.OnForward != nil {
-		flits = m.Flits() // read before the outlet takes ownership
-	}
 	if !o.outlet.TryOut(m) {
 		o.outlet.NotifyOut(m, o.delivFn)
 		return
@@ -254,13 +234,8 @@ func (r *Router) deliver(i int) {
 	o.inflight = nil
 	// The credit is held until the message has fully left the router,
 	// keeping each pool a true bound on per-output occupancy.
-	if o.credits != nil {
-		o.credits.Release(1)
-	}
+	o.credits.Release(1)
 	r.forwarded++
-	if r.OnForward != nil {
-		r.OnForward(flits)
-	}
 	o.pumping = false
 	r.pump(i)
 }

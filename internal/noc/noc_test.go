@@ -102,6 +102,19 @@ func TestRouterCreditBackpressure(t *testing.T) {
 	}
 }
 
+// TestRouterRequiresCredits: every router output admits against a credit
+// pool, so a config without one is refused at construction.
+func TestRouterRequiresCredits(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InputBuffer = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRouter accepted InputBuffer 0")
+		}
+	}()
+	NewRouter(sim.NewEngine(), "r", cfg, func(*Message) int { return 0 }, []Outlet{&sinkOutlet{}})
+}
+
 func TestRouterVOQIndependence(t *testing.T) {
 	// A blocked output must not stall traffic routed to another output.
 	eng := sim.NewEngine()

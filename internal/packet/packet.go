@@ -1,7 +1,7 @@
-// Package packet implements the HMC 1.1 transaction-layer packet protocol:
-// commands, packet sizing in 16-byte flits (Table I of the paper), the
-// 128-bit flit wire format with header and tail fields (Figure 4), and a
-// CRC-32 integrity check used by the link layer for retry.
+// Package packet models the HMC 1.1 transaction-layer packets that the
+// timing model moves: the read and write commands, packet sizes in
+// 16-byte flits (Table I of the paper), and the Transaction that carries
+// one access's request and response packets and its stage timestamps.
 package packet
 
 import (
@@ -22,21 +22,13 @@ const OverheadBytes = FlitBytes
 const MaxDataBytes = 8 * FlitBytes
 
 // Command identifies an HMC transaction-layer packet type. The simulator
-// implements the read and write commands at every legal payload size plus
-// the flow commands that carry no data.
+// implements the read and write commands at every legal payload size.
 type Command uint8
 
 const (
-	// CmdNull is a flow packet used to keep the link trained; it carries
-	// no transaction.
-	CmdNull Command = iota
-	// CmdTRET is a flow packet returning link-level tokens.
-	CmdTRET
-	// CmdIRTRY is a flow packet initiating link retry after a CRC error.
-	CmdIRTRY
 	// CmdRead is a read request; the payload size lives in the packet's
 	// Size field. Read requests carry no data (1 flit total).
-	CmdRead
+	CmdRead Command = iota
 	// CmdWrite is a posted-or-ack'd write request carrying Size bytes.
 	CmdWrite
 	// CmdReadResp is a read response carrying Size bytes of data.
@@ -45,7 +37,7 @@ const (
 	CmdWriteResp
 )
 
-var cmdNames = [...]string{"NULL", "TRET", "IRTRY", "RD", "WR", "RD_RS", "WR_RS"}
+var cmdNames = [...]string{"RD", "WR", "RD_RS", "WR_RS"}
 
 func (c Command) String() string {
 	if int(c) < len(cmdNames) {
@@ -53,10 +45,6 @@ func (c Command) String() string {
 	}
 	return fmt.Sprintf("Command(%d)", uint8(c))
 }
-
-// IsFlow reports whether the command is a link-flow packet with no
-// transaction payload.
-func (c Command) IsFlow() bool { return c == CmdNull || c == CmdTRET || c == CmdIRTRY }
 
 // IsRequest reports whether the command travels host -> HMC.
 func (c Command) IsRequest() bool { return c == CmdRead || c == CmdWrite }
@@ -71,24 +59,20 @@ func ValidSize(n int) bool {
 }
 
 // Packet is one transaction-layer packet. Data payload is represented by
-// its size only; the simulator models timing, not memory contents, except
-// in the wire codec which can carry real bytes.
+// its size only; the simulator models timing, not memory contents.
 type Packet struct {
 	Cmd  Command
-	Tag  uint16 // transaction tag, 11 bits on the wire
-	Addr uint64 // byte address, 34 bits on the wire
-	Size int    // data payload bytes (0 for flow and no-data packets)
-	Cube uint8  // CUB field, 3 bits; always 0 in a single-cube system
+	Tag  uint16 // transaction tag
+	Addr uint64 // byte address
+	Size int    // data payload bytes (0 for a write response)
 
-	// SrcPort and Link identify the host port that created the
-	// transaction and the external link it used; responses are routed
-	// back with them.
-	SrcPort int
-	Link    int
+	// Link is the external link the transaction used; its response is
+	// routed back on it.
+	Link int
 
 	// Tr points at the owning transaction. Real hardware recovers it via
 	// the tag; the simulator carries the pointer so components do not
-	// each need a tag table. It is nil for flow packets.
+	// each need a tag table.
 	Tr *Transaction
 }
 
@@ -105,15 +89,7 @@ func (p *Packet) DataFlits() int {
 // Flits returns the total packet length in flits, including the one flit
 // of header+tail overhead (Table I: requests and responses are 1 flit of
 // overhead plus 1-8 data flits).
-func (p *Packet) Flits() int {
-	if p.Cmd.IsFlow() {
-		return 1
-	}
-	return 1 + p.DataFlits()
-}
-
-// Bytes returns the total packet length in bytes.
-func (p *Packet) Bytes() int { return p.Flits() * FlitBytes }
+func (p *Packet) Flits() int { return 1 + p.DataFlits() }
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("%v tag=%d addr=%#x size=%d (%d flits)",
@@ -193,7 +169,7 @@ func (t *Transaction) Latency() sim.Time { return t.TDone - t.TGen }
 // of Figure 14.
 func (t *Transaction) HMCLatency() sim.Time { return t.TVaultOut - t.TLinkTx }
 
-// RequestPacket builds the wire packet for the transaction's request in
+// RequestPacket builds the packet for the transaction's request in
 // the transaction's own request slot and returns a pointer to it. Each
 // call rebuilds that one packet, so it must not be called again while
 // the request is in flight.
@@ -204,11 +180,11 @@ func (t *Transaction) RequestPacket(tag uint16) *Packet {
 	}
 	// Read requests carry the requested size in the command encoding but no
 	// data flits; DataFlits is zero for CmdRead regardless of Size.
-	t.req = Packet{Cmd: cmd, Tag: tag, Addr: t.Addr, Size: t.Size, SrcPort: t.Port, Link: t.Link, Tr: t}
+	t.req = Packet{Cmd: cmd, Tag: tag, Addr: t.Addr, Size: t.Size, Link: t.Link, Tr: t}
 	return &t.req
 }
 
-// ResponsePacket builds the wire packet for the transaction's response
+// ResponsePacket builds the packet for the transaction's response
 // in the transaction's own response slot and returns a pointer to it.
 // Each call rebuilds that one packet. The cube builds it on every
 // attempt a vault makes to send the response, which is safe because a
@@ -220,7 +196,7 @@ func (t *Transaction) ResponsePacket(tag uint16) *Packet {
 		cmd = CmdWriteResp
 		size = 0
 	}
-	t.resp = Packet{Cmd: cmd, Tag: tag, Addr: t.Addr, Size: size, SrcPort: t.Port, Link: t.Link, Tr: t}
+	t.resp = Packet{Cmd: cmd, Tag: tag, Addr: t.Addr, Size: size, Link: t.Link, Tr: t}
 	return &t.resp
 }
 

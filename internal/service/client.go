@@ -185,12 +185,15 @@ func (c *Client) streamClient() *http.Client {
 const maxStreamLineBytes = 1 << 20
 
 // WatchJob subscribes to GET /v1/jobs/{id}/progress and invokes fn for
-// every event, the terminal one included. Once the stream reports a
-// terminal state it fetches and returns the job's full view (the
-// stream itself carries only progress counters). The daemon pings an
-// idle stream every sseKeepAlive, so a stream that delivers no line
-// for twice that long has stalled and fails. An error leaves the job
-// running; a caller abandoning it cancels it with CancelOrphan.
+// every event, the terminal one included. A done job's view, result
+// included, is then fetched with one GET. A failed or canceled job's
+// view comes from its terminal event alone and holds only the ID,
+// state, error, error code and elapsed time, so a daemon that stops
+// answering right after canceling its jobs (shutting_down) still
+// reports why. The daemon pings an idle stream every sseKeepAlive, so
+// a stream that delivers no line for twice that long has stalled and
+// fails. An error leaves the job running; a caller abandoning it
+// cancels it with CancelOrphan.
 func (c *Client) WatchJob(ctx context.Context, id string, fn func(JobProgress)) (JobView, error) {
 	path := "/v1/jobs/" + id + "/progress"
 	idle := 2 * sseKeepAlive
@@ -243,7 +246,10 @@ func (c *Client) WatchJob(ctx context.Context, id string, fn func(JobProgress)) 
 		}
 		if p.State.Terminal() {
 			stall.Stop()
-			return c.Job(ctx, id)
+			if p.State == StateDone {
+				return c.Job(ctx, id)
+			}
+			return JobView{ID: id, State: p.State, Error: p.Error, ErrorCode: p.ErrorCode, ElapsedMs: p.ElapsedMs}, nil
 		}
 	}
 	if err := sc.Err(); err != nil {

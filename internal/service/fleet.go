@@ -28,9 +28,6 @@ type Fleet struct {
 	Clients []*Client
 	// MaxInflight bounds jobs in flight per daemon; <= 0 means 4.
 	MaxInflight int
-	// Retries bounds how many times one spec is resubmitted after a
-	// daemon failure before the whole run fails; <= 0 means 2.
-	Retries int
 	// Logf, when set, receives human-readable progress lines: daemon
 	// failover and orphan-cancellation notices. nil discards them.
 	// Calls are serialized, so the callback may write to a shared
@@ -69,18 +66,15 @@ func NewFleet(servers string) *Fleet {
 	return f
 }
 
+// fleetRetries bounds how many times one spec is resubmitted after a
+// daemon failure before the whole run fails.
+const fleetRetries = 2
+
 func (f *Fleet) maxInflight() int {
 	if f.MaxInflight > 0 {
 		return f.MaxInflight
 	}
 	return 4
-}
-
-func (f *Fleet) retries() int {
-	if f.Retries > 0 {
-		return f.Retries
-	}
-	return 2
 }
 
 func (f *Fleet) logf(format string, args ...any) {
@@ -255,7 +249,7 @@ func (r *fleetRun) fail(err error) {
 // channel holds every unique spec, so the send can never block.
 func (r *fleetRun) requeue(it fleetItem, c *Client, cause error) {
 	it.attempts++
-	if it.attempts > r.f.retries() {
+	if it.attempts > fleetRetries {
 		r.fail(fmt.Errorf("experiment %q failed on %s after %d attempts: %w",
 			r.specs[it.idx].Exp, c.Base, it.attempts, cause))
 		return

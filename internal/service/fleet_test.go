@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,6 +299,72 @@ func TestFleetFailsOverDaemonClosedMidRun(t *testing.T) {
 	}
 }
 
+// TestFleetReportsDaemonShutdown: a daemon that drops every connection
+// once it has canceled its jobs (hmcsimd closing its listener on
+// SIGTERM) still tells the fleet why on the progress stream. The run
+// fails naming the shutdown, not a refused connection, and the fleet
+// neither cancels the already-canceled job nor logs that it could not.
+func TestFleetReportsDaemonShutdown(t *testing.T) {
+	slow := newBlockingFake("e") // never released: only the shutdown ends its job
+	s := New(Config{Workers: 1}, []hmcsim.Runner{slow})
+	h := s.Handler()
+	var closed atomic.Bool
+	var deletes atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			deletes.Add(1)
+		}
+		if closed.Load() {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close() // refused, as by a closed listener
+			}
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	var logMu sync.Mutex
+	var logs []string
+	var shutdown sync.Once
+	f := &Fleet{
+		Clients: []*Client{{Base: ts.URL, HTTP: ts.Client()}},
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+		// The first event means the stream is open; the daemon shuts
+		// down once its job runs.
+		OnProgress: func(hmcsim.Spec, JobProgress) {
+			shutdown.Do(func() {
+				go func() {
+					<-slow.started
+					closed.Store(true)
+					s.Close()
+				}()
+			})
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := f.Run(ctx, []hmcsim.Spec{{Exp: "e"}})
+	if ctx.Err() != nil {
+		t.Fatal("fleet hung until the safety timeout")
+	}
+	if err == nil || !strings.Contains(err.Error(), errClosed.Error()) {
+		t.Errorf("run over a daemon that shut down: err = %v, want it to name %q", err, errClosed)
+	}
+	if n := deletes.Load(); n != 0 {
+		t.Errorf("fleet sent %d DELETE requests for a job its daemon had canceled", n)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if joined := strings.Join(logs, "\n"); strings.Contains(joined, "could not cancel") {
+		t.Errorf("fleet logged a failed cancel for a job its daemon had canceled:\n%s", joined)
+	}
+}
+
 // TestFleetRetriesExhausted: when every daemon keeps failing, the run
 // fails with a bounded-retries error instead of spinning forever.
 func TestFleetRetriesExhausted(t *testing.T) {
@@ -309,10 +376,7 @@ func TestFleetRetriesExhausted(t *testing.T) {
 		}
 	}))
 	t.Cleanup(dead.Close)
-	f := &Fleet{
-		Clients: []*Client{{Base: dead.URL, HTTP: dead.Client()}},
-		Retries: 2,
-	}
+	f := &Fleet{Clients: []*Client{{Base: dead.URL, HTTP: dead.Client()}}}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, err := f.Run(ctx, seedSpecs("e", 2))

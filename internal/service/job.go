@@ -77,6 +77,9 @@ type Job struct {
 }
 
 // JobProgress is one event on the GET /v1/jobs/{id}/progress stream.
+// The stream ends with the event whose state is terminal; for a failed
+// or canceled job that event also carries the job's error, so a watcher
+// learns the outcome without asking a daemon that may already be gone.
 type JobProgress struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
@@ -89,6 +92,11 @@ type JobProgress struct {
 	Events    uint64  `json:"events"`
 	SimTimePs int64   `json:"simTimePs"`
 	ElapsedMs float64 `json:"elapsedMs"`
+	// Error and ErrorCode are the job's error and its machine-readable
+	// cause, as in JobView; empty until a failed or canceled job's
+	// terminal event.
+	Error     string `json:"error,omitempty"`
+	ErrorCode string `json:"errorCode,omitempty"`
 }
 
 // progressLocked snapshots the stream event for the current state.
@@ -100,6 +108,8 @@ func (j *Job) progressLocked() JobProgress {
 		Total:     j.prog.Total,
 		Events:    j.prog.Events,
 		SimTimePs: j.prog.SimTimePs,
+		Error:     j.err,
+		ErrorCode: j.errCode,
 	}
 	end := j.finished
 	if end.IsZero() {

@@ -495,13 +495,13 @@ func TestCalendarSteadyStateDoesNotAllocate(t *testing.T) {
 	nop := func() {}
 	for i, m := range modelDelays {
 		d := m.d
-		var tm *Timer
-		tm = eng.NewTimer(func() {
+		var tick func()
+		tick = func() {
 			eng.Schedule(0, nop) // a same-instant wake-up
-			tm.After(d)
-		})
+			eng.Schedule(d, tick)
+		}
 		for k := 0; k < 8; k++ {
-			tm.At(Time(i*8 + k))
+			eng.At(Time(i*8+k), tick)
 		}
 	}
 	srv := NewServer(eng)

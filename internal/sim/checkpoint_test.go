@@ -6,9 +6,9 @@ import "testing"
 // callback per `every` fired events, none while disabled.
 func TestCheckpointFiresEveryN(t *testing.T) {
 	eng := NewEngine()
-	var tm *Timer
-	tm = eng.NewTimer(func() { tm.After(10) })
-	tm.After(0)
+	var tick func()
+	tick = func() { eng.Schedule(10, tick) }
+	eng.Schedule(0, tick)
 
 	calls := 0
 	eng.SetCheckpoint(8, func() bool { calls++; return true })
@@ -35,9 +35,9 @@ func TestCheckpointFiresEveryN(t *testing.T) {
 // select DefaultCheckpointEvery instead.
 func TestCheckpointZeroIntervalDefaults(t *testing.T) {
 	eng := NewEngine()
-	var tm *Timer
-	tm = eng.NewTimer(func() { tm.After(10) })
-	tm.After(0)
+	var tick func()
+	tick = func() { eng.Schedule(10, tick) }
+	eng.Schedule(0, tick)
 
 	calls := 0
 	eng.SetCheckpoint(0, func() bool { calls++; return true })
@@ -62,9 +62,9 @@ func TestCheckpointZeroIntervalDefaults(t *testing.T) {
 // a later Run resumes cleanly.
 func TestCheckpointInterruptsRun(t *testing.T) {
 	eng := NewEngine()
-	var tm *Timer
-	tm = eng.NewTimer(func() { tm.After(10) })
-	tm.After(0)
+	var tick func()
+	tick = func() { eng.Schedule(10, tick) }
+	eng.Schedule(0, tick)
 
 	calls := 0
 	eng.SetCheckpoint(4, func() bool { calls++; return calls < 3 })
@@ -115,9 +115,9 @@ func TestCheckpointInterruptsDrain(t *testing.T) {
 func TestRunWithCheckpointDoesNotAllocate(t *testing.T) {
 	for _, installed := range []bool{false, true} {
 		eng := NewEngine()
-		var tm *Timer
-		tm = eng.NewTimer(func() { tm.After(10) })
-		tm.After(0)
+		var tick func()
+		tick = func() { eng.Schedule(10, tick) }
+		eng.Schedule(0, tick)
 		if installed {
 			eng.SetCheckpoint(64, func() bool { return true })
 		}

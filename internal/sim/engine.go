@@ -16,8 +16,8 @@
 // The kernel is also deliberately allocation-free on its steady-state hot
 // path: the event queue is a calendar queue whose list nodes are recycled
 // through a free list (no container/heap, no interface boxing), and
-// components that wake up repeatedly bind their callback once in a Timer
-// instead of allocating a closure per wakeup.
+// components that wake up repeatedly bind their callback once at
+// construction instead of allocating a closure per wakeup.
 package sim
 
 import (
@@ -503,30 +503,6 @@ func (e *Engine) Drain() {
 		}
 	}
 }
-
-// Timer is a reusable event handle: the callback is bound once at
-// construction, so rescheduling the same wakeup — a port's clock tick, a
-// router's delivery hop, a bank's ready edge — costs one queue push and no
-// allocation. Components that used to write eng.Schedule(d, func() { ... })
-// on their hot path hold a Timer instead.
-//
-// A Timer may be scheduled while already pending; each schedule is an
-// independent firing, exactly as if the function were passed to
-// Engine.At directly.
-type Timer struct {
-	eng *Engine
-	fn  func()
-}
-
-// NewTimer binds fn to a reusable handle on e.
-func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
-
-// At schedules the timer's callback at absolute time t.
-func (t *Timer) At(at Time) { t.eng.At(at, t.fn) }
-
-// After schedules the timer's callback delay from now. A negative delay
-// is treated as zero.
-func (t *Timer) After(delay Time) { t.eng.Schedule(delay, t.fn) }
 
 // Clock describes a fixed-frequency clock domain and converts between
 // cycles and simulation time.

@@ -96,7 +96,9 @@ func TestNewSystemCtxBackgroundMatchesNewSystem(t *testing.T) {
 			Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
 		}.Run(sys)
 	}
-	plain := run(o.NewSystem())
+	cfg := hmcsim.DefaultConfig()
+	cfg.Seed = o.Seed
+	plain := run(hmcsim.NewSystem(cfg))
 	wired := run(o.NewSystemCtx(context.Background()))
 	if !reflect.DeepEqual(plain, wired) {
 		t.Errorf("NewSystemCtx(background) diverges from NewSystem:\n %+v\n %+v", plain, wired)
