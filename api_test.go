@@ -1,5 +1,5 @@
 // Tests for the public hmcsim API surface: the sweep fan-out, the trace
-// generator, and the workload adapters.
+// generator, and the drivers a System embeds.
 package hmcsim_test
 
 import (
@@ -136,32 +136,45 @@ func TestTraceSpecGenerate(t *testing.T) {
 	}
 }
 
-func TestWorkloadAdapters(t *testing.T) {
+// TestPublicDrivers runs each driver through the names a program
+// outside the module sees.
+func TestPublicDrivers(t *testing.T) {
 	sys := hmcsim.NewSystem(hmcsim.DefaultConfig())
-	g := hmcsim.GUPS{
-		Ports: 2, Size: 32, Pattern: hmcsim.AllVaults,
+	g := sys.RunGUPS(hmcsim.GUPSSpec{
+		Ports: 2, Size: 32, Pattern: hmcsim.AllVaults.Build(sys),
+		Warmup: 2 * hmcsim.Microsecond, Window: 5 * hmcsim.Microsecond,
+	})
+	if g.Reads == 0 || g.Bandwidth <= 0 || g.AvgLat <= 0 {
+		t.Errorf("RunGUPS: %d reads, %v, avg latency %v", g.Reads, g.Bandwidth, g.AvgLat)
+	}
+
+	spec := hmcsim.TrafficRunSpec{
+		Ports: 2, Size: 64, Traffic: hmcsim.TrafficSpec{Pattern: hmcsim.TrafficZipf},
 		Warmup: 2 * hmcsim.Microsecond, Window: 5 * hmcsim.Microsecond,
 	}
-	m := g.Run(sys)
-	if m.Reads == 0 || m.GBps <= 0 || m.AvgLatNs <= 0 {
-		t.Errorf("GUPS measurement empty: %+v", m)
+	tr, err := hmcsim.NewSystem(hmcsim.DefaultConfig()).RunTraffic(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Reads == 0 || tr.Bandwidth <= 0 || tr.AvgLat <= 0 {
+		t.Errorf("RunTraffic: %d reads, %v, avg latency %v", tr.Reads, tr.Bandwidth, tr.AvgLat)
+	}
+	spec.Traffic.Pattern = "nope"
+	if _, err := hmcsim.NewSystem(hmcsim.DefaultConfig()).RunTraffic(spec); err == nil {
+		t.Error("RunTraffic accepted an unknown pattern, want an error")
 	}
 
 	reqs, err := hmcsim.TraceSpec{N: 50, Size: 32, Vaults: 1, Seed: 5}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2 := hmcsim.NewSystem(hmcsim.DefaultConfig())
-	r := hmcsim.TraceReplay{Requests: reqs, Ports: 3}.Run(sys2)
-	if len(r.Ports) != 3 {
-		t.Fatalf("want 3 per-port measurements, got %d", len(r.Ports))
+	ports := hmcsim.NewSystem(hmcsim.DefaultConfig()).PlayStreams([][]hmcsim.Request{reqs, reqs, reqs})
+	if len(ports) != 3 {
+		t.Fatalf("PlayStreams returned %d ports, want 3", len(ports))
 	}
-	if r.Reads != 150 {
-		t.Errorf("aggregate reads = %d, want 150", r.Reads)
-	}
-	for i, p := range r.Ports {
-		if p.Reads != 50 {
-			t.Errorf("port %d reads = %d, want 50", i, p.Reads)
+	for i, p := range ports {
+		if p.Mon.Reads != 50 {
+			t.Errorf("port %d reads = %d, want 50", i, p.Mon.Reads)
 		}
 	}
 }

@@ -2,7 +2,8 @@
 // Sections II-A and IV-F. Sequentially streaming 4 KB OS pages spreads
 // 128 B blocks over all sixteen vaults (vault-level parallelism first,
 // then bank-level), so sequential traffic avoids the vault bandwidth
-// bottleneck that a vault-confined sweep hits.
+// bottleneck that a vault-confined sweep hits. Two linear System.RunGUPS
+// runs, over the whole cube and over one vault, show the difference.
 package main
 
 import (
@@ -22,27 +23,27 @@ func main() {
 
 	// Sequential GUPS sweep over the whole cube: pages naturally stripe
 	// across vaults.
-	seq := hmcsim.GUPS{
-		Ports: 9, Size: 128, Pattern: hmcsim.AllVaults, Linear: true,
+	seq := sys.RunGUPS(hmcsim.GUPSSpec{
+		Ports: 9, Size: 128, Pattern: hmcsim.AllVaults.Build(sys), Linear: true,
 		Warmup: 30 * hmcsim.Microsecond, Window: 100 * hmcsim.Microsecond,
-	}.Run(sys)
+	})
 
 	// The anti-pattern: the same request stream forced into one vault
 	// (e.g. a bad custom mapping), which serializes on the vault's
 	// ~10 GB/s TSV data path.
 	sys2 := hmcsim.NewSystem(hmcsim.DefaultConfig())
-	confined := hmcsim.GUPS{
-		Ports: 9, Size: 128, Pattern: hmcsim.PatternSpec{Name: "1 vault", Vaults: 1}, Linear: true,
+	confined := sys2.RunGUPS(hmcsim.GUPSSpec{
+		Ports: 9, Size: 128, Pattern: sys2.Vaults(1), Linear: true,
 		Warmup: 30 * hmcsim.Microsecond, Window: 100 * hmcsim.Microsecond,
-	}.Run(sys2)
+	})
 
 	fmt.Println("Sequential 128B streaming, nine ports:")
 	fmt.Printf("  page-interleaved (all vaults): %.2f GB/s, avg latency %5.0f ns\n",
-		seq.GBps, seq.AvgLatNs)
+		seq.Bandwidth.GBpsValue(), seq.AvgLat.Nanoseconds())
 	fmt.Printf("  confined to one vault:         %.2f GB/s, avg latency %5.0f ns\n",
-		confined.GBps, confined.AvgLatNs)
+		confined.Bandwidth.GBpsValue(), confined.AvgLat.Nanoseconds())
 	fmt.Printf("  interleaving advantage:        %.1fx bandwidth\n",
-		seq.GBps/confined.GBps)
+		seq.Bandwidth.GBpsValue()/confined.Bandwidth.GBpsValue())
 	fmt.Println("\nMapping accesses across vaults first, then banks, is the key to")
 	fmt.Println("bandwidth in NoC-based stacked memories (Section IV-F).")
 }

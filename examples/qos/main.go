@@ -2,7 +2,9 @@
 // A latency-sensitive stream shares the cube with three background
 // streams. Mapping the sensitive stream to its own vault (the paper's
 // recommendation) protects its tail latency; colliding with the
-// background traffic inflates it.
+// background traffic inflates it. PlayStreams replays the four traces
+// at once, as the paper's multi-port stream firmware does, and each
+// port's monitor reports its latencies.
 package main
 
 import (
@@ -26,9 +28,8 @@ func run(sensitiveVault int) (avgNs, maxNs float64) {
 	// argument.
 	traces[3] = sys.RandomTrace(n, 16, sys.SingleVault(sensitiveVault), 99)
 
-	m := hmcsim.Streams{Label: "qos", Traces: traces}.Run(sys)
-	sensitive := m.Ports[3]
-	return sensitive.AvgLatNs, sensitive.MaxLatNs
+	sensitive := &sys.PlayStreams(traces)[3].Mon
+	return sensitive.AvgLat().Nanoseconds(), sensitive.MaxLat.Nanoseconds()
 }
 
 func main() {

@@ -1,7 +1,7 @@
 // Sweep example: fan independent simulations out across every CPU and
-// emit a machine-readable JSON result. Each job builds its own System,
-// so results are bit-identical to a sequential run — rerun with
-// -workers 1 and diff the output to check.
+// emit a machine-readable JSON result. Each job builds its own System
+// and calls its RunGUPS, so results are bit-identical to a sequential
+// run — rerun with -workers 1 and diff the output to check.
 package main
 
 import (
@@ -31,11 +31,11 @@ func main() {
 	// One independent system per (size, pattern) cell.
 	points := hmcsim.Sweep2(ctx, *workers, sizes, patterns, func(size int, ps hmcsim.PatternSpec) hmcsim.Point {
 		sys := hmcsim.NewSystem(hmcsim.DefaultConfig())
-		m := hmcsim.GUPS{
-			Ports: 9, Size: size, Pattern: ps,
+		r := sys.RunGUPS(hmcsim.GUPSSpec{
+			Ports: 9, Size: size, Pattern: ps.Build(sys),
 			Warmup: 15 * hmcsim.Microsecond, Window: 40 * hmcsim.Microsecond,
-		}.Run(sys)
-		return hmcsim.Point{Label: ps.Name, X: float64(size), Y: m.GBps}
+		})
+		return hmcsim.Point{Label: ps.Name, X: float64(size), Y: r.Bandwidth.GBpsValue()}
 	})
 
 	res := hmcsim.Result{

@@ -1,8 +1,8 @@
 // Traffic example: sweep zipf skew against a single cube and find the
 // latency knee — the skew at which the hottest blocks stop fitting the
 // cube's bank-level parallelism and read latency takes off. Each point
-// is an independent seeded System, so the sweep parallelizes across
-// CPUs with bit-identical results.
+// is an independent seeded System running System.RunTraffic, so the
+// sweep parallelizes across CPUs with bit-identical results.
 //
 //	go run ./examples/traffic [-workers N] [-ports N] [-size B]
 package main
@@ -31,8 +31,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-ports %d out of range [1, 9]\n", *ports)
 		os.Exit(2)
 	}
-	probe := hmcsim.TrafficWorkload{Traffic: hmcsim.TrafficSpec{Pattern: hmcsim.TrafficZipf}, Size: *size}
-	if err := probe.Validate(); err != nil {
+	if err := (hmcsim.TrafficSpec{Pattern: hmcsim.TrafficZipf}).ValidateFor(*size); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -48,14 +47,17 @@ func main() {
 	}
 	points := hmcsim.Sweep(ctx, *workers, len(thetas), func(i int) point {
 		sys := hmcsim.NewSystem(hmcsim.DefaultConfig())
-		m := hmcsim.TrafficWorkload{
-			Traffic: hmcsim.TrafficSpec{Pattern: hmcsim.TrafficZipf, ZipfTheta: thetas[i]},
+		r, err := sys.RunTraffic(hmcsim.TrafficRunSpec{
 			Ports:   *ports,
 			Size:    *size,
+			Traffic: hmcsim.TrafficSpec{Pattern: hmcsim.TrafficZipf, ZipfTheta: thetas[i]},
 			Warmup:  15 * hmcsim.Microsecond,
 			Window:  60 * hmcsim.Microsecond,
-		}.Run(sys)
-		return point{Theta: thetas[i], GBps: m.GBps, AvgLatNs: m.AvgLatNs}
+		})
+		if err != nil {
+			panic(err) // the flags were checked above
+		}
+		return point{Theta: thetas[i], GBps: r.Bandwidth.GBpsValue(), AvgLatNs: r.AvgLat.Nanoseconds()}
 	})
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "interrupted")

@@ -14,12 +14,14 @@
 //     canonical JSON hash is how the hmcsimd service (cmd/hmcsimd,
 //     internal/service) caches results.
 //
-// The workloads are plain structs whose Run drives a System's port
-// fabric and reports what the monitors saw: GUPS, Streams and
-// TraceReplay adapt the paper's two firmware personalities;
-// TrafficWorkload drives a composable synthetic TrafficSpec (pattern
-// library, read/write mixer, phase scripts, closed- or open-loop
-// injection) from internal/traffic.
+// A System runs the paper's two firmware personalities through the
+// drivers it embeds from internal/core: RunGUPS (GUPSSpec, Figure 5a)
+// and PlayStreams (one finite trace per port, Figure 5b). RunTraffic
+// (TrafficRunSpec) drives a composable synthetic TrafficSpec from
+// internal/traffic: pattern library, read/write mixer, phase scripts,
+// and closed- or open-loop injection. RunGUPS and RunTraffic return
+// what the monitoring logic reports; PlayStreams returns the ports,
+// whose Mon fields hold each port's counts and latencies.
 //
 // Sweep fans independent simulations out across CPUs; every engine
 // stays single-threaded, so parallel results are bit-identical to
@@ -29,16 +31,15 @@
 // Quickstart:
 //
 //	sys := hmcsim.NewSystem(hmcsim.DefaultConfig())
-//	m := hmcsim.GUPS{
-//	    Ports: 9, Size: 128, Pattern: hmcsim.AllVaults,
+//	r := sys.RunGUPS(hmcsim.GUPSSpec{
+//	    Ports: 9, Size: 128, Pattern: hmcsim.AllVaults.Build(sys),
 //	    Warmup: 30 * hmcsim.Microsecond, Window: 100 * hmcsim.Microsecond,
-//	}.Run(sys)
-//	fmt.Println(m.GBps, m.AvgLatNs)
+//	})
+//	fmt.Println(r.Bandwidth.GBpsValue(), r.AvgLat.Nanoseconds())
 package hmcsim
 
 import (
 	"context"
-	"fmt"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/host"
@@ -66,11 +67,22 @@ type Request = host.Request
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // System is an assembled simulation: engine, cube, controller and
-// address mapping. It embeds the core engine, so all low-level drivers
-// (RunGUPS, PlayStreams, RandomTrace, ...) remain reachable.
+// address mapping. It embeds *core.System, whose drivers (RunGUPS,
+// RunTraffic, PlayStreams) are how every workload runs, and whose
+// helpers (Vaults, Banks, SingleVault, RandomTrace) shape their
+// addresses.
 type System struct {
 	*core.System
 }
+
+// GUPSSpec configures System.RunGUPS: the GUPS firmware's ports,
+// request size, address pattern (PatternSpec.Build), and warm-up and
+// measurement windows.
+type GUPSSpec = core.GUPSSpec
+
+// TrafficRunSpec configures System.RunTraffic: Ports identical ports
+// each driving its own compiled copy of one TrafficSpec.
+type TrafficRunSpec = core.TrafficRunSpec
 
 // NewSystem builds a system from cfg.
 func NewSystem(cfg Config) *System { return &System{core.NewSystem(cfg)} }
@@ -226,18 +238,4 @@ func (p PatternSpec) Build(sys *System) core.Pattern {
 		pat.Name = p.Name
 	}
 	return pat
-}
-
-// String returns the pattern's display name.
-func (p PatternSpec) String() string {
-	if p.Name != "" {
-		return p.Name
-	}
-	switch {
-	case p.Banks > 0:
-		return fmt.Sprintf("%d banks", p.Banks)
-	case p.Vaults > 0:
-		return fmt.Sprintf("%d vaults", p.Vaults)
-	}
-	return "16 vaults"
 }

@@ -11,21 +11,12 @@
 // free-running host.TrafficPorts, starts them, measures a window and
 // stops them.
 //
-// core is the driver layer under the top-level hmcsim package's
-// workloads and the experiment runners: hmcsim.GUPS, hmcsim.Streams and
-// hmcsim.TraceReplay wrap the drivers here, hmcsim.System embeds
-// *core.System, and the runners in internal/exp (fig6, fig13, fig14),
-// hmcsim.HMCDevice and the benchmark's core workloads call RunGUPS
-// directly. Programs outside this module use the hmcsim package.
-//
-// Typical use (via the public API):
-//
-//	sys := hmcsim.NewSystem(hmcsim.DefaultConfig())
-//	m := hmcsim.GUPS{
-//	    Ports: 9, Size: 128, Pattern: hmcsim.AllVaults,
-//	    Warmup: 20 * hmcsim.Microsecond, Window: 200 * hmcsim.Microsecond,
-//	}.Run(sys)
-//	fmt.Println(m.GBps, m.AvgLatNs)
+// core is the one driver layer for every workload: hmcsim.System
+// embeds *core.System, so programs outside this module call RunGUPS,
+// RunTraffic and PlayStreams through it (hmcsim.GUPSSpec and
+// hmcsim.TrafficRunSpec alias the specs here), and the runners in
+// internal/exp, hmcsim.HMCDevice and the benchmark's core workloads
+// call them directly. The hmcsim package doc has a quickstart.
 package core
 
 import (

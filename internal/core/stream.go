@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"hmcsim/internal/addr"
 	"hmcsim/internal/host"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/traffic"
@@ -61,23 +62,19 @@ func (s *System) RandomTrace(n, size int, pattern Pattern, seed uint64) []host.R
 // as the four-vault combination study of Section IV-D requires.
 func (s *System) RandomTraceVaults(n, size int, vaults []int, seed uint64) []host.Request {
 	rng := sim.NewRand(seed)
-	masks := make([]core2Mask, len(vaults))
+	masks := make([]addr.Mask, len(vaults))
 	for i, v := range vaults {
 		m, err := s.Map.SingleVaultMask(v)
 		if err != nil {
 			panic(err)
 		}
-		masks[i] = core2Mask{m.Mask, m.AntiMask}
+		masks[i] = m
 	}
 	reqs := make([]host.Request, n)
 	for i := range reqs {
 		m := masks[rng.Intn(len(masks))]
-		a := (rng.Uint64()&(1<<32-1))&m.and | m.or
-		a &^= uint64(size - 1)
+		a := m.Apply(rng.Uint64()&(addr.CubeBytes-1)) &^ uint64(size-1)
 		reqs[i] = host.Request{Addr: a, Size: size}
 	}
 	return reqs
 }
-
-// core2Mask is a flattened addr.Mask to keep the hot loop allocation-free.
-type core2Mask struct{ and, or uint64 }

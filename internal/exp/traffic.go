@@ -23,17 +23,27 @@ type trafficResult struct {
 	points         []trafficPoint
 }
 
-// runTraffic measures one traffic workload on a fresh system.
+// runTraffic measures one traffic workload on a fresh system. It
+// panics on an invalid spec: the CLI and the daemon run Spec.Validate
+// first, which accepts exactly the specs that compile at 128 B.
 func runTraffic(ctx context.Context, o Options, spec hmcsim.TrafficSpec, label string, x float64) trafficPoint {
-	sys := o.NewSystemCtx(ctx)
-	m := hmcsim.TrafficWorkload{
-		Traffic: spec,
+	r, err := o.NewSystemCtx(ctx).RunTraffic(hmcsim.TrafficRunSpec{
 		Ports:   9,
 		Size:    128,
+		Traffic: spec,
 		Warmup:  o.Warmup(),
 		Window:  o.Window(),
-	}.Run(sys)
-	return trafficPoint{label: label, x: x, gbps: m.GBps, avgLatNs: m.AvgLatNs, maxLatNs: m.MaxLatNs}
+	})
+	if err != nil {
+		panic(fmt.Sprintf("exp: invalid traffic spec: %v", err))
+	}
+	return trafficPoint{
+		label:    label,
+		x:        x,
+		gbps:     r.Bandwidth.GBpsValue(),
+		avgLatNs: r.AvgLat.Nanoseconds(),
+		maxLatNs: r.MaxLat.Nanoseconds(),
+	}
 }
 
 // result renders the points as the standard two series (bandwidth,

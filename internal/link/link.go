@@ -194,16 +194,3 @@ type Link struct {
 	Req  *Dir
 	Resp *Dir
 }
-
-// New builds full-duplex link id with the same physical configuration in
-// both directions.
-func New(eng *sim.Engine, id int, cfg Config, deliverReq, deliverResp func(*packet.Packet)) *Link {
-	reqCfg, respCfg := cfg, cfg
-	reqCfg.Seed = cfg.Seed*2 + 1
-	respCfg.Seed = cfg.Seed*2 + 2
-	return &Link{
-		ID:   id,
-		Req:  NewDir(eng, fmt.Sprintf("link%d.req", id), reqCfg, deliverReq),
-		Resp: NewDir(eng, fmt.Sprintf("link%d.resp", id), respCfg, deliverResp),
-	}
-}

@@ -181,12 +181,11 @@ func TestDirStats(t *testing.T) {
 func TestLinkFullDuplex(t *testing.T) {
 	eng := sim.NewEngine()
 	var reqAt, respAt sim.Time
-	l := New(eng, 0, testCfg(),
-		func(p *packet.Packet) { reqAt = eng.Now() },
-		func(p *packet.Packet) { respAt = eng.Now() })
+	req := NewDir(eng, "link0.req", testCfg(), func(p *packet.Packet) { reqAt = eng.Now() })
+	resp := NewDir(eng, "link0.resp", testCfg(), func(p *packet.Packet) { respAt = eng.Now() })
 	eng.Schedule(0, func() {
-		l.Req.TrySend(&packet.Packet{Cmd: packet.CmdRead, Size: 128})
-		l.Resp.TrySend(&packet.Packet{Cmd: packet.CmdReadResp, Size: 128})
+		req.TrySend(&packet.Packet{Cmd: packet.CmdRead, Size: 128})
+		resp.TrySend(&packet.Packet{Cmd: packet.CmdReadResp, Size: 128})
 	})
 	eng.Drain()
 	// Directions do not contend: the 1-flit request and the 9-flit

@@ -66,7 +66,6 @@ type Chan struct {
 
 	received  uint64 // messages accepted
 	forwarded uint64 // credits returned
-	stalls    uint64 // TryOut refusals on an empty credit pool
 
 	delivFn func() // delivery event
 	retryFn func() // downstream freed up
@@ -111,7 +110,6 @@ func (c *Chan) Name() string { return c.name }
 // acceptance. A true return transfers ownership of m to the channel.
 func (c *Chan) TryOut(m *Message) bool {
 	if c.credits != nil && !c.credits.TryAcquire(1) {
-		c.stalls++
 		c.Stall.OnCreditStall()
 		return false
 	}
@@ -214,7 +212,3 @@ func (c *Chan) Forwarded() uint64 { return c.forwarded }
 // Queued returns the channel's occupancy: messages accepted whose
 // credit has not yet returned.
 func (c *Chan) Queued() int { return c.await.Len() }
-
-// Stalls returns the number of TryOut attempts the credit pool refused:
-// how often upstream traffic found this bridge full.
-func (c *Chan) Stalls() uint64 { return c.stalls }

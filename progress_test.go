@@ -50,11 +50,11 @@ func TestWithProgressCarriesEngineHeadway(t *testing.T) {
 	o := hmcsim.Options{Quick: true}
 	hmcsim.Sweep(pctx, 1, 2, func(i int) float64 {
 		sys := o.NewSystemCtx(pctx)
-		m := hmcsim.GUPS{
-			Ports: 1, Size: 128, Pattern: hmcsim.AllVaults,
+		r := sys.RunGUPS(hmcsim.GUPSSpec{
+			Ports: 1, Size: 128, Pattern: hmcsim.AllVaults.Build(sys),
 			Warmup: hmcsim.Microsecond, Window: 5 * hmcsim.Microsecond,
-		}.Run(sys)
-		return m.GBps
+		})
+		return r.Bandwidth.GBpsValue()
 	})
 	mu.Lock()
 	defer mu.Unlock()
@@ -73,11 +73,10 @@ func TestNewSystemCtxCancelInterruptsRun(t *testing.T) {
 	cancel() // canceled before the simulation even starts
 	o := hmcsim.Options{}
 	sys := o.NewSystemCtx(ctx)
-	window := 500 * hmcsim.Microsecond
-	hmcsim.GUPS{
-		Ports: 9, Size: 128, Pattern: hmcsim.AllVaults,
-		Warmup: 100 * hmcsim.Microsecond, Window: window,
-	}.Run(sys)
+	sys.RunGUPS(hmcsim.GUPSSpec{
+		Ports: 9, Size: 128, Pattern: hmcsim.AllVaults.Build(sys),
+		Warmup: 100 * hmcsim.Microsecond, Window: 500 * hmcsim.Microsecond,
+	})
 	// The engine hits its first checkpoint within a few thousand events
 	// and stops; a full run would advance simulated time to 600 us.
 	if sys.Eng.Now() >= 100*hmcsim.Microsecond {
@@ -90,18 +89,13 @@ func TestNewSystemCtxCancelInterruptsRun(t *testing.T) {
 
 func TestNewSystemCtxBackgroundMatchesNewSystem(t *testing.T) {
 	o := hmcsim.Options{Quick: true, Seed: 7}
-	run := func(sys *hmcsim.System) hmcsim.Measurement {
-		return hmcsim.GUPS{
-			Ports: 2, Size: 64, Pattern: hmcsim.AllVaults,
-			Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
-		}.Run(sys)
-	}
 	cfg := hmcsim.DefaultConfig()
 	cfg.Seed = o.Seed
-	plain := run(hmcsim.NewSystem(cfg))
-	wired := run(o.NewSystemCtx(context.Background()))
+	plainSys, wiredSys := hmcsim.NewSystem(cfg), o.NewSystemCtx(context.Background())
+	plain := plainSys.RunGUPS(twoPorts(plainSys, 64))
+	wired := wiredSys.RunGUPS(twoPorts(wiredSys, 64))
 	if !reflect.DeepEqual(plain, wired) {
-		t.Errorf("NewSystemCtx(background) diverges from NewSystem:\n %+v\n %+v", plain, wired)
+		t.Errorf("NewSystemCtx(background) diverges from NewSystem:\n %#v\n %#v", plain, wired)
 	}
 }
 
@@ -109,10 +103,7 @@ func TestWithTraceCollectsComponentActivity(t *testing.T) {
 	ctx, col := hmcsim.WithTrace(context.Background())
 	o := hmcsim.Options{Quick: true}
 	sys := o.NewSystemCtx(ctx)
-	hmcsim.GUPS{
-		Ports: 2, Size: 128, Pattern: hmcsim.AllVaults,
-		Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
-	}.Run(sys)
+	sys.RunGUPS(twoPorts(sys, 128))
 
 	if col.Systems() != 1 {
 		t.Fatalf("collector saw %d systems, want 1", col.Systems())
@@ -157,11 +148,8 @@ func TestWithTraceCollectsComponentActivity(t *testing.T) {
 // one counter series per component.
 func TestWithTraceWritesChromeTrace(t *testing.T) {
 	ctx, col := hmcsim.WithTrace(context.Background())
-	o := hmcsim.Options{Quick: true}
-	hmcsim.GUPS{
-		Ports: 2, Size: 128, Pattern: hmcsim.AllVaults,
-		Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
-	}.Run(o.NewSystemCtx(ctx))
+	sys := hmcsim.Options{Quick: true}.NewSystemCtx(ctx)
+	sys.RunGUPS(twoPorts(sys, 128))
 
 	var buf bytes.Buffer
 	if err := col.WriteChromeTrace(&buf); err != nil {
@@ -216,17 +204,21 @@ func TestWithTraceEmptyRunStillValid(t *testing.T) {
 // tracers only observe.
 func TestTraceDoesNotChangeResults(t *testing.T) {
 	o := hmcsim.Options{Quick: true, Seed: 3}
-	run := func(ctx context.Context) hmcsim.Measurement {
-		sys := o.NewSystemCtx(ctx)
-		return hmcsim.GUPS{
-			Ports: 2, Size: 64, Pattern: hmcsim.AllVaults,
-			Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
-		}.Run(sys)
-	}
-	plain := run(context.Background())
 	tctx, _ := hmcsim.WithTrace(context.Background())
-	traced := run(tctx)
+	plainSys, tracedSys := o.NewSystemCtx(context.Background()), o.NewSystemCtx(tctx)
+	plain := plainSys.RunGUPS(twoPorts(plainSys, 64))
+	traced := tracedSys.RunGUPS(twoPorts(tracedSys, 64))
 	if !reflect.DeepEqual(plain, traced) {
-		t.Errorf("tracing changed the measurement:\n untraced %+v\n traced   %+v", plain, traced)
+		t.Errorf("tracing changed the result:\n untraced %#v\n traced   %#v", plain, traced)
+	}
+}
+
+// twoPorts is the short GUPS run most tests here share: two ports of
+// size-byte reads over the whole cube, a 2 us warm-up and a 10 us
+// window.
+func twoPorts(sys *hmcsim.System, size int) hmcsim.GUPSSpec {
+	return hmcsim.GUPSSpec{
+		Ports: 2, Size: size, Pattern: hmcsim.AllVaults.Build(sys),
+		Warmup: 2 * hmcsim.Microsecond, Window: 10 * hmcsim.Microsecond,
 	}
 }
