@@ -136,6 +136,35 @@ func TestTraceSpecGenerate(t *testing.T) {
 	}
 }
 
+// TestTraceSpecFollowsRandomTrace: a TraceSpec trace has the addresses
+// System.RandomTrace draws over the same pattern and seed, whatever its
+// write fraction, so hmctrace files and in-process traces agree.
+func TestTraceSpecFollowsRandomTrace(t *testing.T) {
+	sys := hmcsim.NewSystem(hmcsim.DefaultConfig())
+	patterns := []hmcsim.PatternSpec{{}, {Vaults: 2}, {Vaults: 1}, {Banks: 1}, {Banks: 4}}
+	for _, ps := range patterns {
+		for _, seed := range []uint64{0, 1, 7} {
+			want := sys.RandomTrace(300, 64, ps.Build(sys), seed)
+			for _, writes := range []float64{0, 0.3} {
+				spec := hmcsim.TraceSpec{N: 300, Size: 64, Vaults: ps.Vaults, Banks: ps.Banks, Seed: seed, Writes: writes}
+				got, err := spec.Generate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%+v: %d requests, want %d", spec, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Addr != want[i].Addr {
+						t.Errorf("%+v: request %d at %#x, RandomTrace's at %#x", spec, i, got[i].Addr, want[i].Addr)
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPublicDrivers runs each driver through the names a program
 // outside the module sees.
 func TestPublicDrivers(t *testing.T) {
@@ -175,22 +204,6 @@ func TestPublicDrivers(t *testing.T) {
 	for i, p := range ports {
 		if p.Mon.Reads != 50 {
 			t.Errorf("port %d reads = %d, want 50", i, p.Mon.Reads)
-		}
-	}
-}
-
-func TestBackendsComparable(t *testing.T) {
-	o := hmcsim.Options{Quick: true}
-	backends := hmcsim.ComparisonBackends()
-	if len(backends) != 2 {
-		t.Fatalf("want 2 comparison backends, got %d", len(backends))
-	}
-	for _, b := range backends {
-		if b.Name() == "" {
-			t.Error("unnamed backend")
-		}
-		if lat := b.IdleLatencyNs(context.Background(), o, 64); lat <= 0 {
-			t.Errorf("%s: idle latency %v", b.Name(), lat)
 		}
 	}
 }

@@ -3,6 +3,14 @@
 // structural subset of the cube. It is a thin flag wrapper over the
 // public hmcsim.TraceSpec generator.
 //
+// A random trace has exactly the addresses hmcsim.System.RandomTrace
+// draws over the same pattern and seed, whatever -writes is: both
+// follow the GUPS firmware's address law, and the write coin has a
+// stream of its own. Traces written by versions that drew the write
+// coin from the address stream do not regenerate from their flags:
+// random addresses differ from the second request on, and with
+// -writes strictly between 0 and 1 so do the directions.
+//
 // Usage:
 //
 //	hmctrace -n 1000 -size 64 -vaults 4 [-banks 2] [-writes 0.25] [-seq] [-seed 7] > trace.txt

@@ -3,10 +3,8 @@
 // "Performance Implications of NoCs on 3D-Stacked Memories: Insights
 // from the Hybrid Memory Cube" (ISPASS 2018).
 //
-// The package is organized around three seams:
+// The package is organized around two seams:
 //
-//   - Backend: an attachable memory device under test. HMCDevice and
-//     DDRChannel implement it, so device comparisons are plain sweeps.
 //   - Runner: a named, self-describing experiment returning a
 //     structured, JSON-marshalable Result. The paper's tables and
 //     figures register themselves in internal/exp's registry.
@@ -15,7 +13,7 @@
 //     internal/service) caches results.
 //
 // A System runs the paper's two firmware personalities through the
-// drivers it embeds from internal/core: RunGUPS (GUPSSpec, Figure 5a)
+// methods of core.System, which it aliases: RunGUPS (GUPSSpec, Figure 5a)
 // and PlayStreams (one finite trace per port, Figure 5b). RunTraffic
 // (TrafficRunSpec) drives a composable synthetic TrafficSpec from
 // internal/traffic: pattern library, read/write mixer, phase scripts,
@@ -67,13 +65,10 @@ type Request = host.Request
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // System is an assembled simulation: engine, cube, controller and
-// address mapping. It embeds *core.System, whose drivers (RunGUPS,
-// RunTraffic, PlayStreams) are how every workload runs, and whose
-// helpers (Vaults, Banks, SingleVault, RandomTrace) shape their
-// addresses.
-type System struct {
-	*core.System
-}
+// address mapping. It aliases core.System, whose RunGUPS, RunTraffic
+// and PlayStreams are how every workload runs, and whose helpers
+// (Vaults, Banks, SingleVault, RandomTrace) shape their addresses.
+type System = core.System
 
 // GUPSSpec configures System.RunGUPS: the GUPS firmware's ports,
 // request size, address pattern (PatternSpec.Build), and warm-up and
@@ -85,7 +80,7 @@ type GUPSSpec = core.GUPSSpec
 type TrafficRunSpec = core.TrafficRunSpec
 
 // NewSystem builds a system from cfg.
-func NewSystem(cfg Config) *System { return &System{core.NewSystem(cfg)} }
+func NewSystem(cfg Config) *System { return core.NewSystem(cfg) }
 
 // Options tune how much work experiments do. The zero value is the full
 // paper-fidelity configuration.
@@ -152,6 +147,15 @@ func (o Options) NewSystemCtx(ctx context.Context) *System {
 	sys := NewSystem(cfg)
 	attachCheckpoint(ctx, sys.Eng)
 	return sys
+}
+
+// NewEngineCtx builds a bare engine wired to ctx's cancellation and
+// progress sink as NewSystemCtx wires its system's engine; experiments
+// that model a device other than the cube (the DDR baseline) run on it.
+func (o Options) NewEngineCtx(ctx context.Context) *sim.Engine {
+	eng := sim.NewEngine()
+	attachCheckpoint(ctx, eng)
+	return eng
 }
 
 // attachCheckpoint wires an engine's event-loop checkpoint to ctx: the

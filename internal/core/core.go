@@ -12,11 +12,11 @@
 // stops them.
 //
 // core is the one driver layer for every workload: hmcsim.System
-// embeds *core.System, so programs outside this module call RunGUPS,
+// aliases System, so programs outside this module call RunGUPS,
 // RunTraffic and PlayStreams through it (hmcsim.GUPSSpec and
 // hmcsim.TrafficRunSpec alias the specs here), and the runners in
-// internal/exp, hmcsim.HMCDevice and the benchmark's core workloads
-// call them directly. The hmcsim package doc has a quickstart.
+// internal/exp and the benchmark's core workloads call them directly.
+// The hmcsim package doc has a quickstart.
 package core
 
 import (
@@ -198,13 +198,6 @@ func (r Result) ReadRate() float64 {
 		return 0
 	}
 	return float64(r.Reads) / r.Window.Seconds()
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%-9s size=%3dB ports=%d: BW=%6.2f GB/s lat(avg/min/max)=%8.0f/%6.0f/%8.0f ns",
-		r.Spec.Pattern.Name, r.Spec.Size, r.Spec.Ports,
-		r.Bandwidth.GBpsValue(),
-		r.AvgLat.Nanoseconds(), r.MinLat.Nanoseconds(), r.MaxLat.Nanoseconds())
 }
 
 // RunGUPS performs one GUPS experiment on a fresh set of ports. The

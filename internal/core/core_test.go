@@ -191,13 +191,3 @@ func TestRandomTraceVaults(t *testing.T) {
 		}
 	}
 }
-
-func TestResultString(t *testing.T) {
-	sys := NewSystem(DefaultConfig())
-	res := sys.RunGUPS(GUPSSpec{Ports: 1, Size: 16, Pattern: AllVaults(),
-		Warmup: sim.Microsecond, Window: 5 * sim.Microsecond})
-	s := res.String()
-	if len(s) == 0 {
-		t.Fatal("empty result string")
-	}
-}

@@ -22,22 +22,21 @@ import (
 //     flit + one hop (the channel's reverse latency) after it happens,
 //     instead of at the delivery instant.
 //
-// Message flow: accept reserves ser+hop on the channel's server — back
-// to back reservations reproduce the in-router pipeline's pacing of one
-// message per ser+hop — and schedules delivery at the reservation's
-// end. Delivery hands the message to the downstream outlet (parking on
-// it under back-pressure), then schedules the credit return after the
-// reverse latency, where the credit pool, OnForward and the forwarded
-// count are maintained.
+// Message flow: TryOut takes a credit and reserves ser+hop on the
+// channel's server — back to back reservations reproduce the in-router
+// pipeline's pacing of one message per ser+hop — and schedules delivery
+// at the reservation's end. Delivery hands the message to the
+// downstream outlet (parking on it under back-pressure), then schedules
+// the credit return after the reverse latency, where the credit pool,
+// OnForward and the forwarded count are maintained.
 type Chan struct {
 	name     string
 	eng      *sim.Engine
 	flitTime sim.Time
 	hop      sim.Time
 	retLat   sim.Time // credit-return wire latency: one flit + one hop
-	bound    int      // messages in flight before admission is broken
 
-	credits *sim.TokenPool // nil when the caller owns admission control
+	credits *sim.TokenPool // admission: messages accepted, not yet credited back
 	server  *sim.Server    // serialization pacing
 	out     Outlet
 
@@ -72,15 +71,11 @@ type Chan struct {
 	retFn   func() // credit return
 }
 
-// NewChan builds a bridge on eng feeding out. credits > 0 installs an
-// admission pool of that many messages; credits == 0 leaves admission
-// to the caller (Inject), bounded by bound messages in flight.
-func NewChan(eng *sim.Engine, name string, cfg Config, credits, bound int, out Outlet) *Chan {
-	if credits > 0 {
-		bound = credits
-	}
-	if bound <= 0 {
-		panic(fmt.Sprintf("noc %s: channel needs a positive bound", name))
+// NewChan builds a bridge on eng feeding out, admitting at most credits
+// messages between acceptance and credit return.
+func NewChan(eng *sim.Engine, name string, cfg Config, credits int, out Outlet) *Chan {
+	if credits <= 0 {
+		panic(fmt.Sprintf("noc %s: channel needs a positive credit count", name))
 	}
 	c := &Chan{
 		name:     name,
@@ -88,14 +83,11 @@ func NewChan(eng *sim.Engine, name string, cfg Config, credits, bound int, out O
 		flitTime: cfg.FlitTime,
 		hop:      cfg.HopLatency,
 		retLat:   cfg.FlitTime + cfg.HopLatency,
-		bound:    bound,
+		credits:  sim.NewTokenPool(credits),
 		server:   sim.NewServer(eng),
 		out:      out,
 		fwdID:    eng.AllocChanID(),
 		retID:    eng.AllocChanID(),
-	}
-	if credits > 0 {
-		c.credits = sim.NewTokenPool(credits)
 	}
 	c.delivFn = c.deliver
 	c.retryFn = c.drainPending
@@ -109,31 +101,9 @@ func (c *Chan) Name() string { return c.name }
 // TryOut implements Outlet: admission against the credit pool, then
 // acceptance. A true return transfers ownership of m to the channel.
 func (c *Chan) TryOut(m *Message) bool {
-	if c.credits != nil && !c.credits.TryAcquire(1) {
+	if !c.credits.TryAcquire(1) {
 		c.Stall.OnCreditStall()
 		return false
-	}
-	c.accept(m)
-	return true
-}
-
-// NotifyOut implements Outlet: fn fires when a credit frees up.
-func (c *Chan) NotifyOut(m *Message, fn func()) {
-	if c.credits == nil {
-		fn()
-		return
-	}
-	c.credits.Notify(fn)
-}
-
-// Inject accepts m without consuming a credit; the caller owns the
-// admission control (link ingress, where the link-level token pool is
-// the real bound).
-func (c *Chan) Inject(m *Message) { c.accept(m) }
-
-func (c *Chan) accept(m *Message) {
-	if c.await.Len() == c.bound {
-		panic(fmt.Sprintf("noc %s: channel bound %d exceeded; the caller's admission control is broken", c.name, c.bound))
 	}
 	c.received++
 	flits := m.Flits()
@@ -145,7 +115,11 @@ func (c *Chan) accept(m *Message) {
 	if c.Trace != nil {
 		c.Trace.OnHop(c.Queued())
 	}
+	return true
 }
+
+// NotifyOut implements Outlet: fn fires when a credit frees up.
+func (c *Chan) NotifyOut(m *Message, fn func()) { c.credits.Notify(fn) }
 
 // deliver runs when a message's ser+hop elapses. Messages of one
 // channel deliver in accept order (the server end times are
@@ -194,9 +168,7 @@ func (c *Chan) drainPending() {
 func (c *Chan) creditReturn() {
 	flits := c.await.Pop()
 	c.forwarded++
-	if c.credits != nil {
-		c.credits.Release(1)
-	}
+	c.credits.Release(1)
 	if c.OnForward != nil {
 		c.OnForward(flits)
 	}

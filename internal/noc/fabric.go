@@ -44,8 +44,8 @@ type Fabric struct {
 // NewFabric builds the two networks.
 //
 //   - linkHome[l] gives the quadrant where external link l attaches.
-//   - ingressBound caps messages in flight inside one ingress channel;
-//     the caller's link-level token pool is the real admission control.
+//   - ingressBound is each ingress channel's credit count; the caller's
+//     link-level token pool keeps requests in flight below it.
 //   - vaultOutlets[v] consumes requests for vault v (length nQuads *
 //     vaultsPerQuad).
 //   - linkEgress[l] consumes responses leaving on link l.
@@ -96,7 +96,7 @@ func NewFabric(eng *sim.Engine, cfg Config, nQuads, vaultsPerQuad int,
 		for p := 0; p < nQuads; p++ {
 			if p != q {
 				ch := NewChan(eng, fmt.Sprintf("req.q%d-q%d", q, p),
-					cfg, cfg.InputBuffer, 0, f.ReqRouters[p])
+					cfg, cfg.InputBuffer, f.ReqRouters[p])
 				// Hops stay counted by the owning router (Stall, not
 				// Trace, avoids doubling).
 				ch.Stall = cfg.Trace
@@ -106,13 +106,13 @@ func NewFabric(eng *sim.Engine, cfg Config, nQuads, vaultsPerQuad int,
 	}
 
 	// Link ingress channels: requests deserialize on the link side and
-	// bridge into the home quadrant's router. Occupancy is bounded
-	// by the link-level token pool, not by channel credits (callers use
-	// Inject and wire OnForward to return tokens).
+	// bridge into the home quadrant's router. The link-level token pool
+	// keeps each one below its credits (callers wire OnForward to
+	// return those tokens), so InjectRequest never meets a refusal.
 	for l := 0; l < nLinks; l++ {
 		home := linkHome[l]
 		f.ReqIngress[l] = NewChan(eng, fmt.Sprintf("req.in%d", l),
-			cfg, 0, ingressBound, f.ReqRouters[home])
+			cfg, ingressBound, f.ReqRouters[home])
 		f.ReqIngress[l].Trace = cfg.Trace
 	}
 
@@ -135,7 +135,7 @@ func NewFabric(eng *sim.Engine, cfg Config, nQuads, vaultsPerQuad int,
 		for l := 0; l < nLinks; l++ {
 			if linkHome[l] == q {
 				ch := NewChan(eng, fmt.Sprintf("resp.q%d-out%d", q, l),
-					cfg, cfg.InputBuffer, 0, linkEgress[l])
+					cfg, cfg.InputBuffer, linkEgress[l])
 				ch.Stall = cfg.Trace
 				f.RespRouters[q].SetChan(l, ch)
 			}
@@ -143,7 +143,7 @@ func NewFabric(eng *sim.Engine, cfg Config, nQuads, vaultsPerQuad int,
 		for p := 0; p < nQuads; p++ {
 			if p != q {
 				ch := NewChan(eng, fmt.Sprintf("resp.q%d-q%d", q, p),
-					cfg, cfg.InputBuffer, 0, f.RespRouters[p])
+					cfg, cfg.InputBuffer, f.RespRouters[p])
 				ch.Stall = cfg.Trace
 				f.RespRouters[q].SetChan(nLinks+p, ch)
 			}
@@ -153,11 +153,14 @@ func NewFabric(eng *sim.Engine, cfg Config, nQuads, vaultsPerQuad int,
 }
 
 // InjectRequest places a request arriving on link l into the fabric. The
-// caller is responsible for bounding in-flight requests (the link RX
-// token pool does this) and should set ReqIngress[l].OnForward to return
-// those tokens.
+// caller is responsible for bounding in-flight requests below the
+// ingress credits (the link RX token pool does this) and should set
+// ReqIngress[l].OnForward to return those tokens; a refused request
+// means that bound is broken, and panics.
 func (f *Fabric) InjectRequest(l int, m *Message) {
-	f.ReqIngress[l].Inject(m)
+	if !f.ReqIngress[l].TryOut(m) {
+		panic(fmt.Sprintf("noc %s: ingress credits exhausted; the caller's admission control is broken", f.ReqIngress[l].name))
+	}
 }
 
 // RespIngress returns the Outlet a vault in quadrant q uses to inject

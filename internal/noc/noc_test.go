@@ -143,11 +143,16 @@ func TestChanExternallyBoundedIngress(t *testing.T) {
 	eng := sim.NewEngine()
 	s := &sinkOutlet{}
 	released := 0
-	c := NewChan(eng, "in", DefaultConfig(), 0, 50, s)
+	c := NewChan(eng, "in", DefaultConfig(), 50, s)
 	c.OnForward = func(int) { released++ }
 	eng.Schedule(0, func() {
 		for i := 0; i < 50; i++ {
-			c.Inject(msg(0, 0, 0, 16))
+			if !c.TryOut(msg(0, 0, 0, 16)) {
+				t.Fatalf("message %d refused with credits to spare", i)
+			}
+		}
+		if c.TryOut(msg(0, 0, 0, 16)) {
+			t.Fatal("message 50 accepted past 50 credits")
 		}
 	})
 	eng.Drain()
@@ -186,12 +191,12 @@ func TestChanContendersAlternate(t *testing.T) {
 	// pool outright — the starvation bug that wedged one external link.
 	eng := sim.NewEngine()
 	o := &chokeOutlet{eng: eng, credits: sim.NewTokenPool(1)}
-	a := NewChan(eng, "a", DefaultConfig(), 0, 25, o)
-	b := NewChan(eng, "b", DefaultConfig(), 0, 25, o)
+	a := NewChan(eng, "a", DefaultConfig(), 25, o)
+	b := NewChan(eng, "b", DefaultConfig(), 25, o)
 	eng.Schedule(0, func() {
 		for i := 0; i < 25; i++ {
-			a.Inject(msg(0, 0, 0, 16))
-			b.Inject(msg(1, 0, 0, 16))
+			a.TryOut(msg(0, 0, 0, 16))
+			b.TryOut(msg(1, 0, 0, 16))
 		}
 	})
 	eng.Drain()
@@ -225,6 +230,23 @@ func newTestFabric(eng *sim.Engine, cfg Config) (*Fabric, []*sinkOutlet, []*sink
 	// only a dozen flits.
 	f := NewFabric(eng, cfg, 4, 4, []int{0, 2}, 512, vaultOutlets, egressOutlets)
 	return f, vaults, egress
+}
+
+// TestInjectRequestPastBoundPanics: the caller's link token pool keeps
+// ingress below its credits, so a request past them means that bound
+// is broken, and InjectRequest must panic rather than drop it.
+func TestInjectRequestPastBoundPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	f, _, _ := newTestFabric(eng, DefaultConfig())
+	for i := 0; i < 512; i++ {
+		f.InjectRequest(0, msg(0, 0, 0, 16))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("request 513 accepted past an ingress bound of 512, want a panic")
+		}
+	}()
+	f.InjectRequest(0, msg(0, 0, 0, 16))
 }
 
 func TestFabricRequestReachesEveryVault(t *testing.T) {

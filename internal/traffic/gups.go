@@ -29,7 +29,8 @@ const (
 // No Spec names this law. Its stream is sim.Rand's, not a splitmix64
 // sub-stream split from the Spec seed, and its mask is a structural
 // subset of one address mapping (vaults, banks), which a Spec cannot
-// state. The GUPS runs build it directly.
+// state. The GUPS runs, core.System.RandomTrace and hmcsim.TraceSpec
+// build it directly.
 func GUPS(mask addr.Mask, size int, seed uint64, linear bool, kind RequestKind) *Gen {
 	a := &gupsGen{mask: mask, size: uint64(size), linear: linear, rng: sim.NewRand(seed)}
 	g := &Gen{closed: true, base: a, active: a}

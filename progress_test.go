@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"hmcsim"
+	"hmcsim/internal/sim"
 )
 
 func TestWithProgressReportsSweepPoints(t *testing.T) {
@@ -39,51 +40,76 @@ func TestWithProgressReportsSweepPoints(t *testing.T) {
 	}
 }
 
-func TestWithProgressCarriesEngineHeadway(t *testing.T) {
-	var mu sync.Mutex
-	var last hmcsim.Progress
-	pctx := hmcsim.WithProgress(context.Background(), func(p hmcsim.Progress) {
-		mu.Lock()
-		last = p
-		mu.Unlock()
-	})
-	o := hmcsim.Options{Quick: true}
-	hmcsim.Sweep(pctx, 1, 2, func(i int) float64 {
-		sys := o.NewSystemCtx(pctx)
-		r := sys.RunGUPS(hmcsim.GUPSSpec{
-			Ports: 1, Size: 128, Pattern: hmcsim.AllVaults.Build(sys),
-			Warmup: hmcsim.Microsecond, Window: 5 * hmcsim.Microsecond,
+// ctxEngines are the two ways an experiment gets a context-wired
+// engine: a whole system from NewSystemCtx running GUPS for window
+// after warmup, and a bare engine from NewEngineCtx firing one event
+// per nanosecond for as long. Each returns the engine after its run.
+var ctxEngines = []struct {
+	name string
+	run  func(ctx context.Context, o hmcsim.Options, warmup, window hmcsim.Time) *sim.Engine
+}{
+	{"NewSystemCtx", func(ctx context.Context, o hmcsim.Options, warmup, window hmcsim.Time) *sim.Engine {
+		sys := o.NewSystemCtx(ctx)
+		sys.RunGUPS(hmcsim.GUPSSpec{
+			Ports: 9, Size: 128, Pattern: hmcsim.AllVaults.Build(sys),
+			Warmup: warmup, Window: window,
 		})
-		return r.Bandwidth.GBpsValue()
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	// The point-boundary flushes force out whatever engine headway the
-	// rate limiter was still holding.
-	if last.Events == 0 {
-		t.Error("final progress reports zero engine events despite two simulations")
-	}
-	if last.SimTimePs == 0 {
-		t.Error("final progress reports zero simulated time despite two simulations")
+		return sys.Eng
+	}},
+	{"NewEngineCtx", func(ctx context.Context, o hmcsim.Options, warmup, window hmcsim.Time) *sim.Engine {
+		eng := o.NewEngineCtx(ctx)
+		var tick func()
+		tick = func() {
+			if eng.Now() < warmup+window {
+				eng.Schedule(hmcsim.Nanosecond, tick)
+			}
+		}
+		eng.Schedule(0, tick)
+		eng.Drain()
+		return eng
+	}},
+}
+
+func TestWithProgressCarriesEngineHeadway(t *testing.T) {
+	for _, r := range ctxEngines {
+		var mu sync.Mutex
+		var last hmcsim.Progress
+		pctx := hmcsim.WithProgress(context.Background(), func(p hmcsim.Progress) {
+			mu.Lock()
+			last = p
+			mu.Unlock()
+		})
+		o := hmcsim.Options{Quick: true}
+		hmcsim.Sweep(pctx, 1, 2, func(i int) hmcsim.Time {
+			return r.run(pctx, o, hmcsim.Microsecond, 10*hmcsim.Microsecond).Now()
+		})
+		mu.Lock()
+		// The point-boundary flushes force out whatever engine headway
+		// the rate limiter was still holding.
+		if last.Events == 0 {
+			t.Errorf("%s: final progress reports zero engine events despite two simulations", r.name)
+		}
+		if last.SimTimePs == 0 {
+			t.Errorf("%s: final progress reports zero simulated time despite two simulations", r.name)
+		}
+		mu.Unlock()
 	}
 }
 
 func TestNewSystemCtxCancelInterruptsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the simulation even starts
-	o := hmcsim.Options{}
-	sys := o.NewSystemCtx(ctx)
-	sys.RunGUPS(hmcsim.GUPSSpec{
-		Ports: 9, Size: 128, Pattern: hmcsim.AllVaults.Build(sys),
-		Warmup: 100 * hmcsim.Microsecond, Window: 500 * hmcsim.Microsecond,
-	})
-	// The engine hits its first checkpoint within a few thousand events
-	// and stops; a full run would advance simulated time to 600 us.
-	if sys.Eng.Now() >= 100*hmcsim.Microsecond {
-		t.Fatalf("engine ran to %v despite canceled context", sys.Eng.Now())
-	}
-	if !sys.Eng.Interrupted() {
-		t.Error("engine does not report the checkpoint interrupt")
+	for _, r := range ctxEngines {
+		eng := r.run(ctx, hmcsim.Options{}, 100*hmcsim.Microsecond, 500*hmcsim.Microsecond)
+		// The engine hits its first checkpoint within a few thousand
+		// events and stops; a full run would advance simulated time to
+		// 600 us.
+		if eng.Now() >= 100*hmcsim.Microsecond {
+			t.Errorf("%s: engine ran to %v despite canceled context", r.name, eng.Now())
+		}
+		if !eng.Interrupted() {
+			t.Errorf("%s: engine does not report the checkpoint interrupt", r.name)
+		}
 	}
 }
 

@@ -5,13 +5,14 @@ import (
 
 	"hmcsim/internal/addr"
 	"hmcsim/internal/packet"
-	"hmcsim/internal/sim"
+	"hmcsim/internal/traffic"
 )
 
 // TraceSpec describes a synthetic trace: n requests of Size bytes
 // confined to a structural subset of the cube. It is the programmatic
 // form of the hmctrace CLI; System.PlayStreams replays what Generate
-// returns.
+// returns. A random trace has exactly the addresses System.RandomTrace
+// draws over the same pattern and seed, whatever Writes is.
 type TraceSpec struct {
 	N    int
 	Size int
@@ -55,25 +56,14 @@ func (t TraceSpec) Generate() ([]Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	// sim.NewRand already maps a zero seed to its fixed default, so the
-	// spec's zero value stays consistent with every other Seed field.
-	rng := sim.NewRand(t.Seed)
+	// The addresses follow the GUPS law, as System.RandomTrace's do; the
+	// write coin has its own stream, so Writes never moves an address.
+	gen := traffic.GUPS(mask, t.Size, t.Seed, t.Sequential, traffic.ReadOnly)
+	coin := traffic.NewRNG(t.Seed)
 	reqs := make([]Request, t.N)
-	var cursor uint64
 	for i := range reqs {
-		var raw uint64
-		if t.Sequential {
-			raw = cursor
-			cursor += uint64(t.Size)
-		} else {
-			raw = rng.Uint64()
-		}
-		a := mask.Apply(raw&(addr.CubeBytes-1)) &^ uint64(t.Size-1)
-		reqs[i] = Request{
-			Addr:  a,
-			Size:  t.Size,
-			Write: rng.Float64() < t.Writes,
-		}
+		a, _ := gen.Next()
+		reqs[i] = Request{Addr: a, Size: t.Size, Write: coin.Float64() < t.Writes}
 	}
 	return reqs, nil
 }
